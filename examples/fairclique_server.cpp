@@ -25,7 +25,7 @@
 //   {"cmd":"load","name":"g","path":"graph.metis","format":"metis"}
 //   {"cmd":"query","graph":"g","k":3,"delta":1}             synchronous
 //   {"cmd":"query","graph":"g","k":3,"delta":1,"preset":"baseline",
-//    "extra":"cp","deadline":5.0,"threads":2,"async":true}  queued
+//    "extra":"cp","deadline":5.0,"async":true}              queued
 //   {"cmd":"drain"}      print pending async responses in submission order
 //   {"cmd":"stats"}      registry + caches + executor counters
 //   {"cmd":"evict","graph":"g"}      drop one graph (+ its cached artifacts)
@@ -65,7 +65,7 @@
 //
 // query fields: preset = baseline|bounded|full (default full), extra = none|
 // degeneracy|hindex|cd|ch|cp (default cp), deadline in seconds (0 = none),
-// threads = accepted for compatibility but superseded: every server query
+// threads = accepted for compatibility and ignored: every server query
 // (sync or async) goes through the executor, which schedules component
 // tasks onto the shared worker pool (--workers), "bypass_cache":true for
 // cold result-cache runs, "bypass_prepared":true to also re-run the
@@ -299,7 +299,6 @@ struct Server {
     else if (preset == "bounded") options = BoundedOptions(k, delta, extra);
     else if (preset == "full") options = FullOptions(k, delta, extra);
     else return PrintError(id, "query: bad preset " + preset);
-    options.num_threads = static_cast<int>(GetNumber(obj, "threads", 1));
 
     QueryRequest request;
     request.graph = std::move(entry);

@@ -16,9 +16,10 @@ namespace obs {
 class QueryProgress;  // obs/progress.h; optional live-progress sink
 }  // namespace obs
 
-/// Which branch kernel runs inside a connected component. Both are exact
-/// and produce identical answers (differentially tested); they differ only
-/// in candidate-set representation.
+/// Candidate-set representation of the branch kernel inside a connected
+/// component. There is one kernel (every prune rule written once), so the
+/// engines produce identical answers and node counts; they differ only in
+/// speed and memory.
 enum class SearchEngine {
   kAuto,    // Bitset while its adjacency arena fits the cache-sized memory
             // budget (see BitsetArenaBudgetBytes), vectors beyond.
@@ -80,16 +81,11 @@ struct SearchOptions {
   int bound_depth = 2;
 
   /// Safety valves: stop and mark the result incomplete after this many
-  /// branch nodes / seconds (0 = unlimited). The node limit is per
-  /// component when searching in parallel.
+  /// branch nodes / seconds (0 = unlimited). The node limit applies per
+  /// component; once any component exhausts a valve, components that have
+  /// not started yet are skipped.
   uint64_t node_limit = 0;
   double time_limit_seconds = 0.0;
-
-  /// Worker threads searching connected components concurrently. Components
-  /// share the incumbent *size* through an atomic floor, so pruning strength
-  /// matches the sequential search; the answer (and its size) is identical
-  /// — only node counts may differ run to run. 0 = hardware concurrency.
-  int num_threads = 1;
 
   /// Optional live-progress sink: when set, the branch kernels publish node
   /// counts at the 1024-node deadline-check cadence and new incumbents as

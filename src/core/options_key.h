@@ -11,14 +11,12 @@ namespace fairclique {
 /// *answer* a search will produce, used by the service-layer result cache.
 ///
 /// Two options that cannot produce different results map to the same key:
-///  - `engine` is dropped — the vector and bitset kernels are exact and
-///    differentially tested to return identical answers;
-///  - `num_threads` is dropped — workers share only the incumbent size, so
-///    the answer is identical and only node counts vary run to run;
+///  - `engine` is dropped — both candidate-set representations run the one
+///    branch kernel, so they return identical answers;
 ///  - `warm_start` is dropped — a (verified) warm start primes the incumbent
 ///    but the search still proves optimality, so the answer *size* is
 ///    identical; the returned witness may differ, which callers must treat
-///    as unspecified (as they already do for thread scheduling).
+///    as unspecified (as they already do for task scheduling).
 ///
 /// Everything that can change the returned clique or the `completed` flag is
 /// included: fairness parameters, branch order, reduction toggles, bound

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <deque>
-#include <functional>
 #include <numeric>
-#include <thread>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -60,89 +58,240 @@ std::vector<uint32_t> ComputeBranchPositions(const AttributedGraph& comp,
   return {};
 }
 
-// Branch-and-bound over one connected component, with vertices relabeled to
-// their colorful-core peeling rank (CalColorOD order): candidate sets only
-// ever contain ranks greater than the last added vertex, so every clique of
-// the component is enumerated exactly once, from its lowest-ranked vertex.
-class ComponentSearch {
+// Candidate-set policies for the one Branch kernel below. A policy owns a
+// component's rank-space adjacency and builds child sets; the kernel owns
+// every prune rule, so the two representations cannot drift apart. A
+// policy provides:
+//
+//   Set                        candidate set over ranks
+//   Set MakeSet()              empty set, for the per-depth scratch pool
+//   void FillAll(Set&)         every rank of the component
+//   size_t First(const Set&)   cursor at the lowest-ranked candidate
+//   bool Done(const Set&, cursor), uint32_t Pivot(const Set&, cursor)
+//   AttrCounts Expand(Set& cand, size_t& cursor, Set& child)
+//        child = the candidates after the pivot at `cursor` that are
+//        adjacent to it, with their attribute counts; advances `cursor`
+//   void Drop(Set& cand, Attribute x)   removes every x-vertex
+//   ForEach(const Set&, fn)    visits members in ascending rank
+//
+// Expand and Drop may consume `cand` destructively: the kernel never reads
+// a candidate set after the node that owns it returns.
+
+// Sorted rank vectors: O(|C| + deg) child construction by merging with a
+// sorted adjacency row. For components whose adjacency bitsets would
+// outgrow the cache budget.
+class SortedVectorSets {
  public:
-  ComponentSearch(const AttributedGraph& comp,
-                  const std::vector<uint32_t>& rank_of,
-                  const SearchOptions& options, const Deadline& deadline,
-                  SearchStats* stats, CliqueResult* best,
-                  std::atomic<int64_t>* floor)
-      : g_(comp),
-        options_(options),
-        deadline_(deadline),
-        stats_(stats),
-        best_(best),
-        floor_(floor),
-        rank_of_(rank_of) {
-    vertex_at_.resize(g_.num_vertices());
-    for (VertexId v = 0; v < g_.num_vertices(); ++v) {
-      vertex_at_[rank_of_[v]] = v;
-    }
-    // Rank-space sorted adjacency for O(|C| + deg) candidate filtering.
-    adj_.resize(g_.num_vertices());
-    for (VertexId v = 0; v < g_.num_vertices(); ++v) {
-      auto& row = adj_[rank_of_[v]];
-      row.reserve(g_.degree(v));
-      for (VertexId w : g_.neighbors(v)) row.push_back(rank_of_[w]);
+  using Set = std::vector<uint32_t>;
+
+  SortedVectorSets(const AttributedGraph& comp,
+                   const std::vector<uint32_t>& rank_of,
+                   const std::vector<Attribute>& attr)
+      : attr_(attr), adj_(comp.num_vertices()) {
+    for (VertexId v = 0; v < comp.num_vertices(); ++v) {
+      std::vector<uint32_t>& row = adj_[rank_of[v]];
+      row.reserve(comp.degree(v));
+      for (VertexId w : comp.neighbors(v)) row.push_back(rank_of[w]);
       std::sort(row.begin(), row.end());
     }
   }
 
-  // Runs the search; `to_original(rank)` maps a rank-space vertex to an
-  // original-graph id for incumbent reporting.
-  template <typename MapFn>
-  void Run(MapFn&& to_original) {
-    map_ = [&](uint32_t r) { return to_original(vertex_at_[r]); };
-    std::vector<uint32_t> all(g_.num_vertices());
-    std::iota(all.begin(), all.end(), 0);
-    AttrCounts cnt;
-    for (uint32_t r = 0; r < g_.num_vertices(); ++r) {
-      cnt[g_.attribute(vertex_at_[r])]++;
-    }
-    r_.clear();
-    r_cnt_ = AttrCounts{};
-    Branch(all, cnt, 0);
+  Set MakeSet() const { return {}; }
+  void FillAll(Set& s) const {
+    s.resize(adj_.size());
+    std::iota(s.begin(), s.end(), 0);
+  }
+  static size_t First(const Set&) { return 0; }
+  static bool Done(const Set& s, size_t cursor) { return cursor >= s.size(); }
+  static uint32_t Pivot(const Set& s, size_t cursor) { return s[cursor]; }
+  template <typename Fn>
+  static void ForEach(const Set& s, Fn&& fn) {
+    for (uint32_t r : s) fn(r);
   }
 
-  bool aborted() const { return aborted_; }
+  // fclint: hot-path-begin(branch_kernel)
+  AttrCounts Expand(Set& cand, size_t& cursor, Set& child) const {
+    const std::span<const uint32_t> nbrs = adj_[cand[cursor]];
+    AttrCounts cnt;
+    child.clear();
+    size_t a = cursor + 1, b = 0;
+    while (a < cand.size() && b < nbrs.size()) {
+      if (cand[a] < nbrs[b]) {
+        ++a;
+      } else if (cand[a] > nbrs[b]) {
+        ++b;
+      } else {
+        child.push_back(cand[a]);
+        cnt[attr_[cand[a]]]++;
+        ++a;
+        ++b;
+      }
+    }
+    ++cursor;
+    return cnt;
+  }
+
+  void Drop(Set& cand, Attribute x) const {
+    std::erase_if(cand, [&](uint32_t r) { return attr_[r] == x; });
+  }
+  // fclint: hot-path-end
 
  private:
-  // Minimum size the incumbent forces us to beat: a new clique must have
-  // size >= max(2k, |best|+1).
+  const std::vector<Attribute>& attr_;
+  std::vector<std::vector<uint32_t>> adj_;
+};
+
+// Word-parallel bitsets for dense components. Adjacency rows live in one
+// contiguous cache-line-aligned BitsetArena (rows padded to 64 bytes), so
+// the candidate∩row intersections of a branch walk dense memory, and the
+// child's per-attribute counts fall out of the fused dual-count
+// intersection (runtime-dispatched scalar/AVX2/NEON, see
+// common/bitset_simd.h) in the same pass that builds it.
+class BitsetSets {
+ public:
+  using Set = Bitset;
+
+  BitsetSets(const AttributedGraph& comp, const std::vector<uint32_t>& rank_of,
+             const std::vector<Attribute>& attr)
+      : n_(comp.num_vertices()), nbr_(n_, n_) {
+    masks_[0] = Bitset(n_);
+    masks_[1] = Bitset(n_);
+    for (VertexId v = 0; v < n_; ++v) {
+      for (VertexId w : comp.neighbors(v)) {
+        nbr_.SetBit(rank_of[v], rank_of[w]);
+      }
+    }
+    for (uint32_t r = 0; r < n_; ++r) masks_[AttrIndex(attr[r])].Set(r);
+  }
+
+  Set MakeSet() const { return Bitset(n_); }
+  void FillAll(Set& s) const { s.SetAll(); }
+  static size_t First(const Set& s) { return s.NextSetBit(0); }
+  static bool Done(const Set& s, size_t cursor) { return cursor >= s.size(); }
+  static uint32_t Pivot(const Set&, size_t cursor) {
+    return static_cast<uint32_t>(cursor);
+  }
+  template <typename Fn>
+  static void ForEach(const Set& s, Fn&& fn) {
+    s.ForEachSetBit([&](size_t r) { fn(static_cast<uint32_t>(r)); });
+  }
+
+  // fclint: hot-path-begin(branch_kernel)
+  AttrCounts Expand(Set& cand, size_t& cursor, Set& child) const {
+    const size_t u = cursor;
+    // "Rest" form of the ordered expansion: clearing the pivot makes
+    // cand = {bits > u still eligible} (every bit < u was a pivot
+    // already), so cand & nbr[u] equals the textbook
+    // (cand & nbr[u]).ResetBelow(u + 1) without the extra pass.
+    cand.Reset(u);
+    cursor = cand.NextSetBit(u + 1);
+    // Pull the next pivot's adjacency row toward L1 while this child's
+    // subtree runs; by the time the loop comes back around it is resident.
+    if (cursor < cand.size()) nbr_.PrefetchRow(cursor);
+    simd::DualCount dc =
+        child.AssignIntersectDual(cand, nbr_.row(u), masks_[0]);
+    AttrCounts cnt;
+    cnt[Attribute::kA] = static_cast<int64_t>(dc.in_mask);
+    // Every vertex holds exactly one of the two attributes, so the B count
+    // is the complement within the intersection.
+    cnt[Attribute::kB] = static_cast<int64_t>(dc.total - dc.in_mask);
+    return cnt;
+  }
+
+  void Drop(Set& cand, Attribute x) const { cand -= masks_[AttrIndex(x)]; }
+  // fclint: hot-path-end
+
+ private:
+  const VertexId n_;
+  BitsetArena nbr_;
+  Bitset masks_[2];  // ranks holding attribute A / B
+};
+
+// rank -> attribute for a component relabeled by `rank_of`.
+std::vector<Attribute> AttributesByRank(const AttributedGraph& comp,
+                                        const std::vector<uint32_t>& rank_of) {
+  std::vector<Attribute> attr(comp.num_vertices());
+  for (VertexId v = 0; v < comp.num_vertices(); ++v) {
+    attr[rank_of[v]] = comp.attribute(v);
+  }
+  return attr;
+}
+
+// Branch-and-bound over one connected component, with vertices relabeled to
+// their rank under the configured branch order (CalColorOD by default):
+// candidate sets only ever contain ranks greater than the last added
+// vertex, so every clique of the component is enumerated exactly once,
+// from its lowest-ranked vertex. `Candidates` is one of the policies above.
+template <typename Candidates>
+class ComponentSearch {
+ public:
+  using Set = typename Candidates::Set;
+
+  ComponentSearch(const PreparedComponent& comp,
+                  const std::vector<uint32_t>& rank_of,
+                  const SearchOptions& options, const Deadline& deadline,
+                  std::atomic<int64_t>* floor, ComponentBranchResult* out)
+      : comp_(comp),
+        options_(options),
+        deadline_(deadline),
+        floor_(floor),
+        out_(*out),
+        stats_(out->stats),
+        vertex_at_(comp.graph.num_vertices()),
+        attr_(AttributesByRank(comp.graph, rank_of)),
+        sets_(comp.graph, rank_of, attr_) {
+    for (VertexId v = 0; v < comp.graph.num_vertices(); ++v) {
+      vertex_at_[rank_of[v]] = v;
+    }
+  }
+
+  void Run() {
+    AttrCounts cnt;
+    for (Attribute a : attr_) cnt[a]++;
+    Set& all = ScratchAt(0);
+    sets_.FillAll(all);
+    Branch(all, cnt, 0);
+    out_.aborted = aborted_;
+  }
+
+ private:
   // Known incumbent size: the larger of this component's best and the
-  // cross-component floor (shared by parallel workers).
+  // query's cross-component floor (shared by concurrent tasks).
   int64_t Known() const {
-    int64_t local = static_cast<int64_t>(best_->size());
+    int64_t local = static_cast<int64_t>(out_.best.size());
     if (floor_ != nullptr) {
       local = std::max(local, floor_->load(std::memory_order_relaxed));
     }
     return local;
   }
 
+  // Minimum size a new clique must reach: max(2k, |best| + 1).
   int64_t Target() const {
     return std::max<int64_t>(2 * options_.params.k, Known() + 1);
   }
 
-  void Branch(const std::vector<uint32_t>& candidates, AttrCounts cand_cnt,
-              int depth) {
+  // `cand` belongs to the caller and may be consumed (see the policy
+  // contract); this node's children are built in ScratchAt(depth + 1).
+  // fclint: hot-path-begin(branch_kernel)
+  // The branch-and-bound inner loop: no allocation expressions, no string
+  // building, no logging, no lock acquisition. (push_back into the
+  // pre-sized incumbent / prefix vectors is the one sanctioned container
+  // use.) tools/lint/fclint.py enforces this region.
+  void Branch(Set& cand, AttrCounts cand_cnt, int depth) {
     if (aborted_) return;
-    stats_->nodes++;
-    if (options_.node_limit != 0 && stats_->nodes > options_.node_limit) {
-      stats_->stop_reason = StopReason::kNodeLimit;
+    stats_.nodes++;
+    if (options_.node_limit != 0 && stats_.nodes > options_.node_limit) {
+      stats_.stop_reason = StopReason::kNodeLimit;
       aborted_ = true;
       return;
     }
-    if ((stats_->nodes & 0x3ff) == 0) {
+    if ((stats_.nodes & 0x3ff) == 0) {
       // The deadline-check cadence doubles as the live-progress cadence:
       // one predictable branch per kilonode either way.
       if (options_.branch_tick != nullptr) (*options_.branch_tick)();
       if (options_.progress != nullptr) options_.progress->AddNodes(1024);
       if (deadline_.Expired()) {
-        stats_->stop_reason = StopReason::kTimeLimit;
+        stats_.stop_reason = StopReason::kTimeLimit;
         aborted_ = true;
         return;
       }
@@ -150,234 +299,11 @@ class ComponentSearch {
     // Every node's R is a clique reached exactly once; record it when fair.
     if (static_cast<int64_t>(r_.size()) > Known() &&
         options_.params.Satisfied(r_cnt_)) {
-      best_->vertices.clear();
-      for (uint32_t r : r_) best_->vertices.push_back(map_(r));
-      best_->attr_counts = r_cnt_;
-      if (floor_ != nullptr) {
-        RaiseFloor(floor_, static_cast<int64_t>(r_.size()));
+      out_.best.vertices.clear();
+      for (uint32_t r : r_) {
+        out_.best.vertices.push_back(comp_.original_ids[vertex_at_[r]]);
       }
-      if (options_.progress != nullptr) {
-        options_.progress->NoteIncumbent(static_cast<int64_t>(r_.size()));
-      }
-    }
-    if (candidates.empty()) return;
-
-    // Size prune (Lemma 5 / Alg. 3 line 19).
-    if (static_cast<int64_t>(r_.size() + candidates.size()) < Target()) {
-      stats_->size_prunes++;
-      return;
-    }
-    // Attribute feasibility (Alg. 3 lines 20-23): both attributes must be
-    // able to reach k.
-    if (r_cnt_.a() + cand_cnt.a() < options_.params.k ||
-        r_cnt_.b() + cand_cnt.b() < options_.params.k) {
-      stats_->attr_prunes++;
-      return;
-    }
-    // Delta cap (sound form of Alg. 3 lines 4-8): when attribute x already
-    // matches the best the other side can reach plus delta, no x-vertex can
-    // be added to any fair completion.
-    const std::vector<uint32_t>* cand = &candidates;
-    std::vector<uint32_t> capped;
-    for (Attribute x : {Attribute::kA, Attribute::kB}) {
-      Attribute y = Other(x);
-      if (cand_cnt[x] > 0 &&
-          r_cnt_[x] >= r_cnt_[y] + cand_cnt[y] + options_.params.delta) {
-        capped.clear();
-        capped.reserve(cand->size());
-        for (uint32_t r : *cand) {
-          if (g_.attribute(vertex_at_[r]) != x) capped.push_back(r);
-        }
-        stats_->cap_removals += cand->size() - capped.size();
-        cand_cnt[x] = 0;
-        cand = &capped;
-        // Re-check the size prune after dropping candidates.
-        if (static_cast<int64_t>(r_.size() + cand->size()) < Target()) {
-          stats_->size_prunes++;
-          return;
-        }
-      }
-    }
-
-    // Configured upper bounds on the induced subgraph of R ∪ C, at shallow
-    // depths only (building the subgraph is O(E(G')) per node).
-    if (depth < options_.bound_depth &&
-        (options_.bounds.use_advanced ||
-         options_.bounds.extra != ExtraBound::kNone)) {
-      if (UpperBoundOf(*cand) < Target()) {
-        stats_->bound_prunes++;
-        return;
-      }
-    }
-
-    // Expand each candidate in rank order; the suffix filter keeps every
-    // clique enumerated exactly once.
-    for (size_t i = 0; i < cand->size(); ++i) {
-      if (aborted_) return;
-      uint32_t u = (*cand)[i];
-      // Remaining-size prune for this child before building its set.
-      if (static_cast<int64_t>(r_.size() + 1 + (cand->size() - i - 1)) <
-          Target()) {
-        stats_->size_prunes++;
-        break;  // Later children only get smaller.
-      }
-      std::vector<uint32_t> next;
-      AttrCounts next_cnt;
-      // next = {v in cand[i+1..] : v adjacent to u}; both sides sorted.
-      const std::vector<uint32_t>& nbrs = adj_[u];
-      size_t a = i + 1, b = 0;
-      while (a < cand->size() && b < nbrs.size()) {
-        if ((*cand)[a] < nbrs[b]) {
-          ++a;
-        } else if ((*cand)[a] > nbrs[b]) {
-          ++b;
-        } else {
-          next.push_back((*cand)[a]);
-          next_cnt[g_.attribute(vertex_at_[(*cand)[a]])]++;
-          ++a;
-          ++b;
-        }
-      }
-      Attribute au = g_.attribute(vertex_at_[u]);
-      r_.push_back(u);
-      r_cnt_[au]++;
-      Branch(next, next_cnt, depth + 1);
-      r_.pop_back();
-      r_cnt_[au]--;
-    }
-  }
-
-  // Evaluates the configured bound on the subgraph induced by R ∪ C.
-  int64_t UpperBoundOf(const std::vector<uint32_t>& cand) {
-    std::vector<VertexId> verts;
-    verts.reserve(r_.size() + cand.size());
-    for (uint32_t r : r_) verts.push_back(vertex_at_[r]);
-    for (uint32_t r : cand) verts.push_back(vertex_at_[r]);
-    AttributedGraph sub = g_.InducedSubgraph(verts);
-    return ComputeUpperBound(sub, options_.params.delta, options_.bounds);
-  }
-
-  const AttributedGraph& g_;
-  const SearchOptions& options_;
-  const Deadline& deadline_;
-  SearchStats* stats_;
-  CliqueResult* best_;
-  std::atomic<int64_t>* floor_;
-  bool aborted_ = false;
-
-  const std::vector<uint32_t>& rank_of_;
-  std::vector<VertexId> vertex_at_;
-  std::vector<std::vector<uint32_t>> adj_;
-  std::vector<uint32_t> r_;  // Current clique, as ranks.
-  AttrCounts r_cnt_;
-  std::function<VertexId(uint32_t)> map_;
-};
-
-// Word-parallel variant of ComponentSearch for dense components: candidate
-// sets are bitsets over ranks, child sets are built with word-parallel
-// kernels (runtime-dispatched scalar/AVX2/NEON, see common/bitset_simd.h).
-// Branch semantics, pruning rules and answers are identical to the vector
-// engine (asserted by differential tests).
-//
-// Layout: adjacency rows live in one contiguous cache-line-aligned
-// BitsetArena (rows padded to 64 bytes) rather than n separate heap
-// allocations, so the candidate∩row intersections of a branch walk dense
-// memory; the next pivot's row is prefetched while the current child
-// recurses. Child candidate sets come from a per-depth scratch pool (one
-// Bitset per recursion level, reused across siblings) instead of a fresh
-// allocation per node, and the child's per-attribute counts fall out of the
-// fused dual-count intersection in the same pass that builds it.
-class BitsetComponentSearch {
- public:
-  BitsetComponentSearch(const AttributedGraph& comp,
-                        const std::vector<uint32_t>& rank_of,
-                        const SearchOptions& options, const Deadline& deadline,
-                        SearchStats* stats, CliqueResult* best,
-                        std::atomic<int64_t>* floor)
-      : g_(comp),
-        n_(comp.num_vertices()),
-        options_(options),
-        deadline_(deadline),
-        stats_(stats),
-        best_(best),
-        floor_(floor),
-        rank_of_(rank_of),
-        nbr_(n_, n_) {
-    vertex_at_.resize(n_);
-    for (VertexId v = 0; v < n_; ++v) vertex_at_[rank_of_[v]] = v;
-    attr_bits_[0] = Bitset(n_);
-    attr_bits_[1] = Bitset(n_);
-    for (VertexId v = 0; v < n_; ++v) {
-      uint32_t r = rank_of_[v];
-      for (VertexId w : g_.neighbors(v)) nbr_.SetBit(r, rank_of_[w]);
-      attr_bits_[AttrIndex(g_.attribute(v))].Set(r);
-    }
-  }
-
-  template <typename MapFn>
-  void Run(MapFn&& to_original) {
-    map_ = [&](uint32_t r) { return to_original(vertex_at_[r]); };
-    Bitset all(n_);
-    all.SetAll();
-    AttrCounts cnt;
-    cnt[Attribute::kA] = static_cast<int64_t>(attr_bits_[0].Count());
-    cnt[Attribute::kB] = static_cast<int64_t>(attr_bits_[1].Count());
-    r_.clear();
-    r_cnt_ = AttrCounts{};
-    Branch(all, cnt, 0);
-  }
-
-  bool aborted() const { return aborted_; }
-
- private:
-  // Known incumbent size: the larger of this component's best and the
-  // cross-component floor (shared by parallel workers).
-  int64_t Known() const {
-    int64_t local = static_cast<int64_t>(best_->size());
-    if (floor_ != nullptr) {
-      local = std::max(local, floor_->load(std::memory_order_relaxed));
-    }
-    return local;
-  }
-
-  int64_t Target() const {
-    return std::max<int64_t>(2 * options_.params.k, Known() + 1);
-  }
-
-  // `cand` is the caller's scratch set for this depth; the callee may
-  // consume it destructively (pivots are cleared as the loop advances, and
-  // the delta-cap prune subtracts in place). Parents rebuild their scratch
-  // from their own `cand` each iteration, so nothing downstream reads it
-  // after the call.
-  // fclint: hot-path-begin(branch_kernel)
-  // The branch-and-bound inner loop: no allocation expressions, no string
-  // building, no logging, no lock acquisition. (push_back into the
-  // pre-sized incumbent / prefix vectors is the one sanctioned container
-  // use.) tools/lint/fclint.py enforces this region.
-  void Branch(Bitset& cand, AttrCounts cand_cnt, int depth) {
-    if (aborted_) return;
-    stats_->nodes++;
-    if (options_.node_limit != 0 && stats_->nodes > options_.node_limit) {
-      stats_->stop_reason = StopReason::kNodeLimit;
-      aborted_ = true;
-      return;
-    }
-    if ((stats_->nodes & 0x3ff) == 0) {
-      // The deadline-check cadence doubles as the live-progress cadence:
-      // one predictable branch per kilonode either way.
-      if (options_.branch_tick != nullptr) (*options_.branch_tick)();
-      if (options_.progress != nullptr) options_.progress->AddNodes(1024);
-      if (deadline_.Expired()) {
-        stats_->stop_reason = StopReason::kTimeLimit;
-        aborted_ = true;
-        return;
-      }
-    }
-    if (static_cast<int64_t>(r_.size()) > Known() &&
-        options_.params.Satisfied(r_cnt_)) {
-      best_->vertices.clear();
-      for (uint32_t r : r_) best_->vertices.push_back(map_(r));
-      best_->attr_counts = r_cnt_;
+      out_.best.attr_counts = r_cnt_;
       if (floor_ != nullptr) {
         RaiseFloor(floor_, static_cast<int64_t>(r_.size()));
       }
@@ -387,110 +313,101 @@ class BitsetComponentSearch {
     }
     int64_t cand_size = cand_cnt.Total();
     if (cand_size == 0) return;
+    // Size prune (Lemma 5 / Alg. 3 line 19).
     if (static_cast<int64_t>(r_.size()) + cand_size < Target()) {
-      stats_->size_prunes++;
+      stats_.size_prunes++;
       return;
     }
+    // Attribute feasibility (Alg. 3 lines 20-23): both attributes must be
+    // able to reach k.
     if (r_cnt_.a() + cand_cnt.a() < options_.params.k ||
         r_cnt_.b() + cand_cnt.b() < options_.params.k) {
-      stats_->attr_prunes++;
+      stats_.attr_prunes++;
       return;
     }
+    // Delta cap (sound form of Alg. 3 lines 4-8): when attribute x already
+    // matches the best the other side can reach plus delta, no x-vertex can
+    // be added to any fair completion.
     for (Attribute x : {Attribute::kA, Attribute::kB}) {
       Attribute y = Other(x);
       if (cand_cnt[x] > 0 &&
           r_cnt_[x] >= r_cnt_[y] + cand_cnt[y] + options_.params.delta) {
-        stats_->cap_removals += static_cast<uint64_t>(cand_cnt[x]);
-        cand -= attr_bits_[AttrIndex(x)];
+        stats_.cap_removals += static_cast<uint64_t>(cand_cnt[x]);
+        sets_.Drop(cand, x);
         cand_cnt[x] = 0;
         cand_size = cand_cnt.Total();
+        // Re-check the size prune after dropping candidates.
         if (static_cast<int64_t>(r_.size()) + cand_size < Target()) {
-          stats_->size_prunes++;
+          stats_.size_prunes++;
           return;
         }
       }
     }
+    // Configured upper bounds on the induced subgraph of R ∪ C, at shallow
+    // depths only (building the subgraph is O(E(G')) per node).
     if (depth < options_.bound_depth &&
         (options_.bounds.use_advanced ||
          options_.bounds.extra != ExtraBound::kNone)) {
-      if (UpperBoundOf(cand) < Target()) {
-        stats_->bound_prunes++;
+      if (UpperBoundOf(cand, cand_size) < Target()) {
+        stats_.bound_prunes++;
         return;
       }
     }
+    // Expand each candidate in rank order; taking only later candidates
+    // keeps every clique enumerated exactly once.
     int64_t remaining = cand_size;
-    Bitset& next = ScratchAt(depth);
-    for (size_t u = cand.NextSetBit(0); u < cand.size(); --remaining) {
+    Set& next = ScratchAt(depth + 1);
+    for (size_t cursor = sets_.First(cand); !sets_.Done(cand, cursor);
+         --remaining) {
       if (aborted_) return;
       if (static_cast<int64_t>(r_.size()) + remaining < Target()) {
-        stats_->size_prunes++;
+        stats_.size_prunes++;
         break;  // Later children only get smaller.
       }
-      // "Rest" form of the ordered expansion: clearing the pivot makes
-      // cand = {bits > u still eligible} (every bit < u was a pivot
-      // already), so cand & nbr[u] equals the textbook
-      // (cand & nbr[u]).ResetBelow(u + 1) without the extra pass.
-      cand.Reset(u);
-      size_t u_next = cand.NextSetBit(u + 1);
-      // Pull the next pivot's adjacency row toward L1 while this child's
-      // subtree runs; by the time the loop comes back around it is resident.
-      if (u_next < cand.size()) nbr_.PrefetchRow(u_next);
-      simd::DualCount dc =
-          next.AssignIntersectDual(cand, nbr_.row(u), attr_bits_[0]);
-      AttrCounts next_cnt;
-      next_cnt[Attribute::kA] = static_cast<int64_t>(dc.in_mask);
-      // Every vertex holds exactly one of the two attributes, so the B
-      // count is the complement within the intersection.
-      next_cnt[Attribute::kB] = static_cast<int64_t>(dc.total - dc.in_mask);
-      Attribute au = g_.attribute(vertex_at_[u]);
-      r_.push_back(static_cast<uint32_t>(u));
-      r_cnt_[au]++;
+      const uint32_t u = sets_.Pivot(cand, cursor);
+      AttrCounts next_cnt = sets_.Expand(cand, cursor, next);
+      r_.push_back(u);
+      r_cnt_[attr_[u]]++;
       Branch(next, next_cnt, depth + 1);
       r_.pop_back();
-      r_cnt_[au]--;
-      u = u_next;
+      r_cnt_[attr_[u]]--;
     }
   }
   // fclint: hot-path-end
 
-  // One scratch Bitset per recursion depth, reused across every sibling at
+  // One scratch set per recursion depth, reused across every sibling at
   // that depth. A deque keeps references stable while deeper levels append.
-  Bitset& ScratchAt(int depth) {
+  Set& ScratchAt(int depth) {
     while (static_cast<size_t>(depth) >= scratch_.size()) {
-      scratch_.emplace_back(n_);
+      scratch_.push_back(sets_.MakeSet());
     }
     return scratch_[static_cast<size_t>(depth)];
   }
 
-  int64_t UpperBoundOf(const Bitset& cand) {
+  // Evaluates the configured bound on the subgraph induced by R ∪ C.
+  int64_t UpperBoundOf(const Set& cand, int64_t cand_size) {
     std::vector<VertexId> verts;
-    verts.reserve(r_.size() + cand.Count());
+    verts.reserve(r_.size() + static_cast<size_t>(cand_size));
     for (uint32_t r : r_) verts.push_back(vertex_at_[r]);
-    cand.ForEachSetBit([&](size_t r) { verts.push_back(vertex_at_[r]); });
-    AttributedGraph sub = g_.InducedSubgraph(verts);
+    sets_.ForEach(cand, [&](uint32_t r) { verts.push_back(vertex_at_[r]); });
+    AttributedGraph sub = comp_.graph.InducedSubgraph(verts);
     return ComputeUpperBound(sub, options_.params.delta, options_.bounds);
   }
 
-  const AttributedGraph& g_;
-  const VertexId n_;
+  const PreparedComponent& comp_;
   const SearchOptions& options_;
   const Deadline& deadline_;
-  SearchStats* stats_;
-  CliqueResult* best_;
-  std::atomic<int64_t>* floor_;
+  std::atomic<int64_t>* const floor_;
+  ComponentBranchResult& out_;
+  SearchStats& stats_;
   bool aborted_ = false;
 
-  const std::vector<uint32_t>& rank_of_;
-  std::vector<VertexId> vertex_at_;
-  BitsetArena nbr_;
-  Bitset attr_bits_[2];
-  // Per-depth child-set scratch, one Bitset per recursion level. A deque so
-  // references handed to recursive calls stay valid when deeper levels grow
-  // the pool.
-  std::deque<Bitset> scratch_;
-  std::vector<uint32_t> r_;
+  std::vector<VertexId> vertex_at_;  // rank -> local vertex
+  std::vector<Attribute> attr_;      // rank -> attribute
+  const Candidates sets_;
+  std::deque<Set> scratch_;
+  std::vector<uint32_t> r_;  // Current clique, as ranks.
   AttrCounts r_cnt_;
-  std::function<VertexId(uint32_t)> map_;
 };
 
 // Bytes the bitset engine's blocked adjacency arena takes for an n-vertex
@@ -668,20 +585,14 @@ ComponentBranchResult BranchComponent(const PreparedGraph& prepared,
   obs::ProfileScope profile_scope("BranchComponent");
   WallTimer timer;
   const std::vector<uint32_t>& rank_of = comp.BranchPositions(options.order);
-  auto to_original = [&comp](VertexId local) {
-    return comp.original_ids[local];
-  };
   if (ResolveEngine(options.engine, comp.graph.num_vertices()) ==
       SearchEngine::kBitset) {
-    BitsetComponentSearch search(comp.graph, rank_of, options, deadline,
-                                 &out.stats, &out.best, floor);
-    search.Run(to_original);
-    out.aborted = search.aborted();
+    ComponentSearch<BitsetSets>(comp, rank_of, options, deadline, floor, &out)
+        .Run();
   } else {
-    ComponentSearch search(comp.graph, rank_of, options, deadline, &out.stats,
-                           &out.best, floor);
-    search.Run(to_original);
-    out.aborted = search.aborted();
+    ComponentSearch<SortedVectorSets>(comp, rank_of, options, deadline, floor,
+                                      &out)
+        .Run();
   }
   out.stats.search_micros = timer.ElapsedMicros();
   return out;
@@ -713,65 +624,94 @@ SearchResult AggregatePreparedSearch(
   return result;
 }
 
-SearchResult SearchPreparedGraph(
-    const AttributedGraph& g, const PreparedGraph& prepared,
-    const SearchOptions& options,
-    std::vector<ComponentBranchResult>* per_component) {
+BranchStage::BranchStage(const AttributedGraph& g,
+                         const PreparedGraph& prepared,
+                         const SearchOptions& options,
+                         const Deadline& deadline)
+    : prepared_(prepared),
+      options_(options),
+      deadline_(deadline) {
   FC_CHECK(options.params.k >= 1) << "fairness parameter k must be >= 1";
   FC_CHECK(options.params.delta >= 0) << "delta must be >= 0";
   FC_CHECK(prepared.Compatible(options))
-      << "SearchPreparedGraph: options (k, reductions) do not match the plan";
+      << "BranchStage: options (k, reductions) do not match the plan";
   FC_CHECK(g.num_vertices() >= prepared.source_vertices)
-      << "SearchPreparedGraph: graph is smaller than the plan's source";
+      << "BranchStage: graph is smaller than the plan's source";
+  seed_ = SeedIncumbent(g, prepared, options);
+  floor_.store(static_cast<int64_t>(seed_.clique.size()),
+               std::memory_order_relaxed);
+  // Static selection against the seed; BranchComponent re-checks against
+  // the live floor when a task runs, so components made irrelevant by a
+  // sibling's find are skipped for free.
+  const int64_t target = std::max<int64_t>(
+      2 * options.params.k, static_cast<int64_t>(seed_.clique.size()) + 1);
+  for (size_t i = 0; i < prepared.components.size(); ++i) {
+    if (static_cast<int64_t>(prepared.components[i]->graph.num_vertices()) >=
+        target) {
+      components_.push_back(i);
+    }
+  }
+  results_.resize(components_.size());
+  done_ = std::vector<std::atomic<bool>>(components_.size());
+  remaining_.store(components_.size(), std::memory_order_relaxed);
+}
 
+void BranchStage::AttachProgress(obs::QueryProgress* progress) {
+  options_.progress = progress;
+  const int64_t seed_size = static_cast<int64_t>(seed_.clique.size());
+  progress->NoteIncumbent(seed_size);
+  if (!components_.empty()) {
+    progress->SetUpperBound(std::max(
+        seed_size, static_cast<int64_t>(prepared_.components[components_[0]]
+                                            ->graph.num_vertices())));
+  }
+}
+
+bool BranchStage::RunTask(size_t task) {
+  if (!stopped_.load(std::memory_order_relaxed)) {
+    results_[task] = BranchComponent(prepared_, components_[task], options_,
+                                     deadline_, &floor_);
+    if (results_[task].aborted) {
+      stopped_.store(true, std::memory_order_relaxed);
+    }
+  }
+  if (options_.progress != nullptr) {
+    done_[task].store(true, std::memory_order_relaxed);
+    // The answer can't exceed the larger of the incumbent and the largest
+    // component still searching: components_ ascends over largest-first
+    // components, so the first undone task is that component.
+    int64_t ub = floor_.load(std::memory_order_relaxed);
+    for (size_t t = 0; t < components_.size(); ++t) {
+      if (!done_[t].load(std::memory_order_relaxed)) {
+        ub = std::max(ub, static_cast<int64_t>(
+                              prepared_.components[components_[t]]
+                                  ->graph.num_vertices()));
+        break;
+      }
+    }
+    options_.progress->SetUpperBound(ub);
+    options_.progress->NoteComponentDone();
+  }
+  // acq_rel: the release side publishes this task's result slot, the
+  // acquire side (the final decrement) observes every sibling's slot.
+  return remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1;
+}
+
+SearchResult BranchStage::Aggregate() const {
+  return AggregatePreparedSearch(prepared_, seed_, results_);
+}
+
+SearchResult SearchPreparedGraph(const AttributedGraph& g,
+                                 const PreparedGraph& prepared,
+                                 const SearchOptions& options) {
   WallTimer total_timer;
-  Deadline deadline(options.time_limit_seconds);
-
-  IncumbentSeed seed = SeedIncumbent(g, prepared, options);
-  std::atomic<int64_t> floor{static_cast<int64_t>(seed.clique.size())};
-
+  BranchStage stage(g, prepared, options,
+                    Deadline(options.time_limit_seconds));
   WallTimer search_timer;
-  std::vector<ComponentBranchResult> results(prepared.components.size());
-  int num_threads = options.num_threads;
-  if (num_threads <= 0) {
-    num_threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (num_threads <= 0) num_threads = 1;
-  }
-  // Never spawn more workers than there are component tasks: with
-  // num_threads <= 0 (hardware concurrency) on a small or well-reduced
-  // graph, most threads would start only to find the task list empty.
-  num_threads = std::min<int>(
-      num_threads,
-      static_cast<int>(std::max<size_t>(prepared.components.size(), 1)));
-  if (num_threads == 1 || prepared.components.size() <= 1) {
-    for (size_t i = 0; i < prepared.components.size(); ++i) {
-      results[i] = BranchComponent(prepared, i, options, deadline, &floor);
-      if (options.progress != nullptr) options.progress->NoteComponentDone();
-      if (results[i].aborted) break;
-    }
-  } else {
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(num_threads));
-    for (int t = 0; t < num_threads; ++t) {
-      workers.emplace_back([&]() {
-        while (true) {
-          size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= results.size()) return;
-          results[i] = BranchComponent(prepared, i, options, deadline, &floor);
-          if (options.progress != nullptr) {
-            options.progress->NoteComponentDone();
-          }
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-  }
-
-  SearchResult result = AggregatePreparedSearch(prepared, seed, results);
+  for (size_t t = 0; t < stage.num_tasks(); ++t) stage.RunTask(t);
+  SearchResult result = stage.Aggregate();
   result.stats.search_micros = search_timer.ElapsedMicros();
   result.stats.total_micros = total_timer.ElapsedMicros();
-  if (per_component != nullptr) *per_component = std::move(results);
   return result;
 }
 

@@ -31,12 +31,12 @@ struct PreparedComponent {
   /// use and memoized; thread-safe, so concurrent component tasks of
   /// different queries can share one PreparedComponent.
   ///
-  /// Only the positions are memoized. The engines' rank-space adjacency
-  /// (sorted rows / n^2-bit neighbor bitsets) is also delta-independent but
-  /// is rebuilt per BranchComponent on purpose: it is O(E) against an
-  /// exponential branch stage, while caching it — per (order, engine) — in
-  /// a plan that lives in an LRU would pin up to ~2 MB per dense component
-  /// for as long as the plan stays cached.
+  /// Only the positions are memoized. The candidate-set policies' rank-space
+  /// adjacency (sorted rows / n^2-bit neighbor bitsets) is also
+  /// delta-independent but is rebuilt per BranchComponent on purpose: it is
+  /// O(E) against an exponential branch stage, while caching it — per
+  /// (order, engine) — in a plan that lives in an LRU would pin up to ~2 MB
+  /// per dense component for as long as the plan stays cached.
   const std::vector<uint32_t>& BranchPositions(BranchOrder order) const;
 
  private:
@@ -51,7 +51,7 @@ struct PreparedComponent {
 ///
 ///   Reduce     — EnColorfulCore -> ColorfulSup -> EnColorfulSup (Lemmas
 ///                2-4) for a fixed (k, ReductionOptions); independent of
-///                delta, bounds, engine, heuristic, and thread count.
+///                delta, bounds, engine, and heuristic.
 ///   Decompose  — connected components of the reduced graph, materialized
 ///                as local subgraphs sorted largest-first, each carrying
 ///                its original-id map and (lazily) its branch orderings.
@@ -66,7 +66,7 @@ struct PreparedGraph {
   /// Shape of the input graph the plan was prepared from, for cheap sanity
   /// checks at search time. Vertices may legitimately *grow* past this on a
   /// forwarded plan (appended isolated vertices cannot join a fair clique),
-  /// which is why SearchPreparedGraph checks >=, not ==.
+  /// which is why BranchStage checks >=, not ==.
   VertexId source_vertices = 0;
   EdgeId source_edges = 0;
 
@@ -147,11 +147,12 @@ const char* SearchEngineName(SearchEngine engine);
 
 /// Stage 3 for a single component: ordered branch-and-bound over
 /// prepared.components[component] under `options` (which must be
-/// Compatible). `floor` is the query's shared incumbent-size floor; the
-/// component is skipped outright when it is too small to beat
-/// max(2k, floor + 1) at call time. Thread-safe across components, which is
-/// what lets a service scheduler interleave components of many queries on
-/// one worker pool.
+/// Compatible). One kernel serves both engines; the engine only picks the
+/// candidate-set representation. `floor` is the query's shared
+/// incumbent-size floor; the component is skipped outright when it is too
+/// small to beat max(2k, floor + 1) at call time. Thread-safe across
+/// components, which is what lets a scheduler interleave components of many
+/// queries on one worker pool.
 ComponentBranchResult BranchComponent(const PreparedGraph& prepared,
                                       size_t component,
                                       const SearchOptions& options,
@@ -168,19 +169,69 @@ SearchResult AggregatePreparedSearch(
     const PreparedGraph& prepared, const IncumbentSeed& seed,
     std::span<const ComponentBranchResult> results);
 
-/// The full Branch stage: seeds the incumbent, searches every prepared
-/// component (options.num_threads workers sharing an atomic floor), and
-/// aggregates. Identical answers to FindMaximumFairClique(g, options) —
-/// which is now a thin wrapper over PrepareGraph + this.
+/// One query's Branch stage as a set of component tasks: the seeded
+/// incumbent, the shared incumbent-size floor, the components selected
+/// against the seed, and one result slot per task. It is the only Branch
+/// scheduler: SearchPreparedGraph runs the tasks in order on the calling
+/// thread, and the service's QueryExecutor fans them out onto its worker
+/// pool, interleaved with other queries' tasks.
 ///
-/// `per_component`, when non-null, receives the raw per-component outcomes
-/// (indexed like prepared.components) that AggregatePreparedSearch folded
-/// into the result — the data an EXPLAIN plan is made of, otherwise
-/// discarded.
-SearchResult SearchPreparedGraph(
-    const AttributedGraph& g, const PreparedGraph& prepared,
-    const SearchOptions& options,
-    std::vector<ComponentBranchResult>* per_component = nullptr);
+/// Every task must run exactly once, on any thread, concurrently or not;
+/// Aggregate() is valid once they all have. `prepared` must outlive the
+/// stage.
+class BranchStage {
+ public:
+  /// Seeds the incumbent (SeedIncumbent) and keeps the components large
+  /// enough to beat it. `deadline` bounds every task.
+  BranchStage(const AttributedGraph& g, const PreparedGraph& prepared,
+              const SearchOptions& options, const Deadline& deadline);
+
+  BranchStage(const BranchStage&) = delete;
+  BranchStage& operator=(const BranchStage&) = delete;
+
+  size_t num_tasks() const { return components_.size(); }
+  /// prepared.components index of each task, ascending (largest first).
+  std::span<const size_t> components() const { return components_; }
+  /// Per-task outcomes, indexed like components().
+  std::span<const ComponentBranchResult> results() const { return results_; }
+  const IncumbentSeed& seed() const { return seed_; }
+
+  /// Routes live progress to `progress` (not owned, non-null) instead of
+  /// options.progress and publishes the seed and the initial upper bound.
+  /// Call before any task runs; it lets a caller size the progress record
+  /// by num_tasks().
+  void AttachProgress(obs::QueryProgress* progress);
+
+  /// Branches task `task`'s component against the shared floor. After any
+  /// task was stopped by a safety valve, tasks that have not started yet
+  /// are skipped. Returns true for exactly one call: the one that finished
+  /// the stage's last task.
+  bool RunTask(size_t task);
+
+  /// AggregatePreparedSearch over the seed and every task's result.
+  SearchResult Aggregate() const;
+
+ private:
+  const PreparedGraph& prepared_;
+  SearchOptions options_;
+  const Deadline deadline_;
+  IncumbentSeed seed_;
+  std::vector<size_t> components_;
+  std::vector<ComponentBranchResult> results_;
+  /// Per-task completion flags, for the progress upper bound.
+  std::vector<std::atomic<bool>> done_;
+  std::atomic<int64_t> floor_{0};
+  std::atomic<size_t> remaining_{0};
+  std::atomic<bool> stopped_{false};
+};
+
+/// The full Branch stage on the calling thread: a BranchStage whose tasks
+/// run in order, then aggregated. Identical answers to
+/// FindMaximumFairClique(g, options), which is a thin wrapper over
+/// PrepareGraph + this.
+SearchResult SearchPreparedGraph(const AttributedGraph& g,
+                                 const PreparedGraph& prepared,
+                                 const SearchOptions& options);
 
 /// The time budget left for the Branch stage after `elapsed_seconds` were
 /// already spent (preparation, cache probes): callers staging the search

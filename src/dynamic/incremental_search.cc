@@ -21,7 +21,6 @@ SearchResult IncrementalRequery(const AttributedGraph& g,
   SearchOptions local = options;
   local.warm_start.clear();  // base ids are not local subgraph ids
   local.use_heuristic = false;
-  local.num_threads = 1;
 
   std::vector<VertexId> candidates;
   for (const Edge& e : new_edges) {

@@ -69,19 +69,10 @@ struct QueryExecutor::QueryState {
   /// never outlive its query. Empty when telemetry is off or nothing was
   /// selected to search.
   obs::ProgressRegistration progress;
-  /// Per-slot completion flags (relaxed; advisory), used to recompute the
-  /// progress upper bound: comp_indices ascends and prepared components are
-  /// sorted largest-first, so the first undone slot is the largest
-  /// component still able to beat the incumbent.
-  std::unique_ptr<std::atomic<bool>[]> comp_done;
 
-  IncumbentSeed seed;
-  std::atomic<int64_t> floor{0};
-  /// Prepared-component indices that survived selection; results[i] is the
-  /// outcome for comp_indices[i], aggregated in this (deterministic) order.
-  std::vector<size_t> comp_indices;
-  std::vector<ComponentBranchResult> results;
-  std::atomic<size_t> remaining{0};
+  /// The Branch stage: seed, shared floor, selected components and their
+  /// per-task results. Empty until StartBranch.
+  std::optional<BranchStage> stage;
 
   // Stage timestamps for the trace (obs/trace.h), relative to Submit
   // (qs.queued). Captured as plain integers on the hot path; the Trace
@@ -91,9 +82,9 @@ struct QueryExecutor::QueryState {
   int64_t t_probe_end = -1;    // result-cache probe + hint handling done
   int64_t t_prepare_end = -1;  // prepared plan in hand
   int64_t t_branch_end = -1;   // Branch stage done (aggregation follows)
-  /// Per-slot Branch start times; each slot is written only by its own
-  /// component task and read by the final task (after the acq_rel
-  /// remaining-counter handoff), so no locking is needed.
+  /// Per-task Branch start times; each slot is written only by its own
+  /// component task and read by the final task (after the stage's acq_rel
+  /// task-counter handoff), so no locking is needed.
   std::vector<int64_t> comp_start_micros;
 };
 
@@ -364,11 +355,8 @@ void QueryExecutor::BuildExplain(QueryState& qs, const SearchResult* sr) {
     plan.heuristic_micros = sr->stats.heuristic_micros;
     plan.heuristic_size = sr->stats.heuristic_size;
     plan.warm_start = qs.response.warm_start;
-    // The queued path keeps the seed around; the synchronous path seeds
-    // inside SearchPreparedGraph, where only the heuristic size survives.
-    plan.seed_size = !qs.seed.clique.vertices.empty()
-                         ? static_cast<int64_t>(qs.seed.clique.size())
-                         : sr->stats.heuristic_size;
+    const BranchStage& stage = *qs.stage;
+    plan.seed_size = static_cast<int64_t>(stage.seed().clique.size());
     plan.simd_kernel = simd::ActiveName();
     plan.bitset_budget_bytes = BitsetArenaBudgetBytes();
     plan.components.reserve(prepared.components.size());
@@ -379,9 +367,10 @@ void QueryExecutor::BuildExplain(QueryState& qs, const SearchResult* sr) {
       const AttributedGraph& cg = prepared.components[i]->graph;
       row.vertices = cg.num_vertices();
       row.edges = cg.num_edges();
-      // comp_indices ascends, so one cursor pairs slots with components.
-      if (slot < qs.comp_indices.size() && qs.comp_indices[slot] == i) {
-        const ComponentBranchResult& task = qs.results[slot];
+      // The stage's components ascend, so one cursor pairs tasks with
+      // components.
+      if (slot < stage.num_tasks() && stage.components()[slot] == i) {
+        const ComponentBranchResult& task = stage.results()[slot];
         row.searched = true;
         EngineDecision decision =
             ResolveEngineDecision(qs.effective.engine, cg.num_vertices());
@@ -455,12 +444,11 @@ void QueryExecutor::RecordTelemetry(QueryState& qs) {
     add_span("prepare", -1, qs.t_probe_end, t_prepare_end);
     const int32_t branch_span = static_cast<int32_t>(trace->spans.size());
     add_span("branch", -1, t_prepare_end, t_branch_end);
-    for (size_t i = 0;
-         i < qs.comp_indices.size() && i < qs.comp_start_micros.size(); ++i) {
+    for (size_t i = 0; i < qs.comp_start_micros.size(); ++i) {
       const int64_t start = qs.comp_start_micros[i];
       if (start <= 0) continue;  // task never ran (or telemetry raced off)
       add_span("component", branch_span, start,
-               start + qs.results[i].stats.search_micros);
+               start + qs.stage->results()[i].stats.search_micros);
     }
     add_span("finish", -1, t_branch_end, t_end);
   }
@@ -472,41 +460,11 @@ QueryResponse QueryExecutor::Run(const QueryRequest& request) {
   qs.request = request;
   qs.queued.Restart();  // the synchronous "submit" is this very call
   if (!PreSearch(qs)) {
-    // Deduct the time already spent (hint handling, plan build) from the
-    // branch budget so the overall limit matches the monolith's.
-    SearchOptions branch_options = qs.effective;
-    branch_options.time_limit_seconds = RemainingTimeBudget(
-        qs.effective.time_limit_seconds, qs.run_timer.ElapsedSeconds());
-    if (qs.response.trace_id != 0) {
-      qs.progress = obs::ProgressRegistry::Default().RegisterScoped(
-          qs.response.trace_id, request.graph->name,
-          CanonicalOptionsKey(request.options),
-          qs.prepared->components.size());
-      if (qs.effective.time_limit_seconds > 0.0) {
-        qs.progress->SetDeadlineMicros(
-            static_cast<int64_t>(qs.effective.time_limit_seconds * 1e6));
-      }
-      branch_options.progress = qs.progress.get();
-    }
-    std::vector<ComponentBranchResult> per_component;
-    SearchResult sr = SearchPreparedGraph(
-        *request.graph->graph, *qs.prepared, branch_options,
-        request.explain ? &per_component : nullptr);
-    qs.progress.Reset();
-    if (request.explain) {
-      // Adopt the per-component outcomes under the queued path's layout
-      // (every component got a task here), so BuildExplain has one shape.
-      qs.comp_indices.resize(per_component.size());
-      for (size_t i = 0; i < per_component.size(); ++i) qs.comp_indices[i] = i;
-      qs.results = std::move(per_component);
-    }
-    if (qs.response.trace_id != 0) {
-      qs.t_branch_end = qs.queued.ElapsedMicros();
-      branch_hist_->Record(qs.t_branch_end - qs.t_prepare_end);
-    }
-    sr.stats.reduce_micros = qs.prepare_micros;
-    sr.stats.total_micros = qs.run_timer.ElapsedMicros();
-    FinishSearch(qs, std::move(sr));
+    // The same Branch stage the pool runs, its tasks in order on this
+    // thread.
+    const size_t n = StartBranch(qs);
+    for (size_t task = 0; task < n; ++task) RunBranchTask(qs, task);
+    FinishBranch(qs);
   } else if (qs.request.explain && qs.response.plan_json.empty()) {
     BuildExplain(qs, nullptr);  // cache hit / expired / invalid: plan is
                                 // just the cache decision
@@ -527,138 +485,93 @@ QueryResponse QueryExecutor::Run(const QueryRequest& request) {
   return std::move(qs.response);
 }
 
-void QueryExecutor::ExpandQuery(std::shared_ptr<QueryState> qs) {
-  qs->seed = SeedIncumbent(*qs->request.graph->graph, *qs->prepared,
-                           qs->effective);
-  qs->floor.store(static_cast<int64_t>(qs->seed.clique.size()),
-                  std::memory_order_relaxed);
-
-  // Static selection against the seeded incumbent; BranchComponent re-checks
-  // against the live floor when the task actually runs, so components made
-  // irrelevant by a sibling's find are skipped for free.
-  const int64_t target =
-      std::max<int64_t>(2 * qs->effective.params.k,
-                        static_cast<int64_t>(qs->seed.clique.size()) + 1);
-  for (size_t i = 0; i < qs->prepared->components.size(); ++i) {
-    if (static_cast<int64_t>(
-            qs->prepared->components[i]->graph.num_vertices()) >= target) {
-      qs->comp_indices.push_back(i);
-    }
-  }
-
-  const size_t n = qs->comp_indices.size();
-  qs->search_timer.Restart();
-  if (n == 0) {
-    FinalizeQuery(*qs);
-    return;
-  }
-  qs->results.resize(n);
-  qs->comp_start_micros.assign(n, 0);
-  if (qs->response.trace_id != 0) {
-    // Publish this query in the live-progress registry for the duration of
-    // its Branch stage; the component tasks write through qs->effective.
-    const int64_t seed_size = static_cast<int64_t>(qs->seed.clique.size());
-    qs->progress = obs::ProgressRegistry::Default().RegisterScoped(
-        qs->response.trace_id, qs->request.graph->name,
-        CanonicalOptionsKey(qs->request.options), n);
-    if (qs->effective.time_limit_seconds > 0.0) {
-      qs->progress->SetDeadlineMicros(
-          static_cast<int64_t>(qs->effective.time_limit_seconds * 1e6));
-    }
-    qs->effective.progress = qs->progress.get();
-    qs->progress->NoteIncumbent(seed_size);
-    qs->progress->SetUpperBound(std::max(
-        seed_size,
-        static_cast<int64_t>(qs->prepared->components[qs->comp_indices[0]]
-                                 ->graph.num_vertices())));
-    qs->comp_done = std::make_unique<std::atomic<bool>[]>(n);
-    for (size_t i = 0; i < n; ++i) {
-      qs->comp_done[i].store(false, std::memory_order_relaxed);
-    }
-  }
-  qs->remaining.store(n, std::memory_order_relaxed);
-  component_tasks_.fetch_add(n, std::memory_order_relaxed);
-  obs::EventJournal::Default().Record(
-      obs::EventType::kQueryStart, qs->response.trace_id, n,
-      qs->seed.clique.size(), qs->request.graph->name.c_str());
-  {
-    // One engine-decision breadcrumb per query, for the largest selected
-    // component (comp_indices ascends over largest-first components).
-    const EngineDecision decision = ResolveEngineDecision(
-        qs->effective.engine,
-        qs->prepared->components[qs->comp_indices[0]]->graph.num_vertices());
-    obs::EventJournal::Default().Record(
-        obs::EventType::kEngineDecision, qs->response.trace_id,
-        decision.arena_bytes, 0, SearchEngineName(decision.engine));
-  }
-  {
-    fc::MutexLock lock(mu_);
-    for (size_t slot = 0; slot < n; ++slot) {
-      component_queue_.push_back(ComponentTask{qs, slot});
-    }
-    peak_queue_depth_ = std::max(
-        peak_queue_depth_, queue_.size() + component_queue_.size());
-    work_ready_.NotifyAll();
-  }
-}
-
-void QueryExecutor::ExecuteComponentTask(const ComponentTask& task) {
-  QueryState& qs = *task.query;
+size_t QueryExecutor::StartBranch(QueryState& qs) {
+  const BranchStage& stage = qs.stage.emplace(
+      *qs.request.graph->graph, *qs.prepared, qs.effective, qs.deadline);
+  const size_t n = stage.num_tasks();
+  qs.search_timer.Restart();
+  qs.comp_start_micros.assign(n, 0);
+  if (n == 0) return 0;
   if (qs.response.trace_id != 0) {
-    // Slot-owned; published to the finalizer by the acq_rel decrement below.
-    qs.comp_start_micros[task.slot] = qs.queued.ElapsedMicros();
-  }
-  obs::EventJournal::Default().Record(
-      obs::EventType::kTaskBegin, qs.response.trace_id, task.slot,
-      qs.prepared->components[qs.comp_indices[task.slot]]
-          ->graph.num_vertices());
-  qs.results[task.slot] =
-      BranchComponent(*qs.prepared, qs.comp_indices[task.slot], qs.effective,
-                      qs.deadline, &qs.floor);
-  obs::EventJournal::Default().Record(
-      obs::EventType::kTaskEnd, qs.response.trace_id, task.slot,
-      static_cast<uint64_t>(qs.results[task.slot].stats.nodes));
-  if (qs.progress) {
-    qs.comp_done[task.slot].store(true, std::memory_order_relaxed);
-    // The answer can't exceed the larger of the incumbent and the largest
-    // component still searching: comp_indices ascends over largest-first
-    // components, so the first undone slot is that component.
-    int64_t ub = qs.floor.load(std::memory_order_relaxed);
-    for (size_t s = 0; s < qs.comp_indices.size(); ++s) {
-      if (!qs.comp_done[s].load(std::memory_order_relaxed)) {
-        ub = std::max(
-            ub, static_cast<int64_t>(qs.prepared->components[qs.comp_indices[s]]
-                                         ->graph.num_vertices()));
-        break;
-      }
+    // Publish this query in the live-progress registry for the duration of
+    // its Branch stage.
+    qs.progress = obs::ProgressRegistry::Default().RegisterScoped(
+        qs.response.trace_id, qs.request.graph->name,
+        CanonicalOptionsKey(qs.request.options), n);
+    if (qs.effective.time_limit_seconds > 0.0) {
+      qs.progress->SetDeadlineMicros(
+          static_cast<int64_t>(qs.effective.time_limit_seconds * 1e6));
     }
-    qs.progress->SetUpperBound(ub);
-    qs.progress->NoteComponentDone();
+    qs.stage->AttachProgress(qs.progress.get());
   }
-  // acq_rel: the release side publishes this task's result slot, the
-  // acquire side (the final decrement) observes every sibling's slot.
-  if (qs.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    FinalizeQuery(qs);
-  }
+  obs::EventJournal::Default().Record(
+      obs::EventType::kQueryStart, qs.response.trace_id, n,
+      stage.seed().clique.size(), qs.request.graph->name.c_str());
+  // One engine-decision breadcrumb per query, for the largest selected
+  // component (the stage's components ascend over largest-first ones).
+  const EngineDecision decision = ResolveEngineDecision(
+      qs.effective.engine,
+      qs.prepared->components[stage.components()[0]]->graph.num_vertices());
+  obs::EventJournal::Default().Record(
+      obs::EventType::kEngineDecision, qs.response.trace_id,
+      decision.arena_bytes, 0, SearchEngineName(decision.engine));
+  return n;
 }
 
-void QueryExecutor::FinalizeQuery(QueryState& qs) {
+bool QueryExecutor::RunBranchTask(QueryState& qs, size_t task) {
+  if (qs.response.trace_id != 0) {
+    // Slot-owned; published to the finalizer by the stage's handoff.
+    qs.comp_start_micros[task] = qs.queued.ElapsedMicros();
+  }
+  BranchStage& stage = *qs.stage;
+  obs::EventJournal::Default().Record(
+      obs::EventType::kTaskBegin, qs.response.trace_id, task,
+      qs.prepared->components[stage.components()[task]]
+          ->graph.num_vertices());
+  const bool last = stage.RunTask(task);
+  // The query state outlives every task (tasks hold it), and nothing writes
+  // a task's result after RunTask, so reading it past the handoff is safe.
+  obs::EventJournal::Default().Record(
+      obs::EventType::kTaskEnd, qs.response.trace_id, task,
+      static_cast<uint64_t>(stage.results()[task].stats.nodes));
+  return last;
+}
+
+void QueryExecutor::FinishBranch(QueryState& qs) {
+  qs.progress.Reset();
   if (qs.response.trace_id != 0) {
     qs.t_branch_end = qs.queued.ElapsedMicros();
     branch_hist_->Record(qs.t_branch_end - qs.t_prepare_end);
   }
-  SearchResult sr =
-      AggregatePreparedSearch(*qs.prepared, qs.seed, qs.results);
+  SearchResult sr = qs.stage->Aggregate();
   sr.stats.reduce_micros = qs.prepare_micros;
   sr.stats.search_micros = qs.search_timer.ElapsedMicros();
   sr.stats.total_micros = qs.run_timer.ElapsedMicros();
   FinishSearch(qs, std::move(sr));
+}
+
+void QueryExecutor::ExpandQuery(std::shared_ptr<QueryState> qs) {
+  const size_t n = StartBranch(*qs);
+  if (n == 0) {
+    FinalizeQuery(*qs);
+    return;
+  }
+  component_tasks_.fetch_add(n, std::memory_order_relaxed);
+  fc::MutexLock lock(mu_);
+  for (size_t task = 0; task < n; ++task) {
+    component_queue_.push_back(ComponentTask{qs, task});
+  }
+  peak_queue_depth_ =
+      std::max(peak_queue_depth_, queue_.size() + component_queue_.size());
+  work_ready_.NotifyAll();
+}
+
+void QueryExecutor::FinalizeQuery(QueryState& qs) {
+  FinishBranch(qs);
   CompleteQuery(qs);
 }
 
 void QueryExecutor::CompleteQuery(QueryState& qs) {
-  qs.progress.Reset();
-  qs.effective.progress = nullptr;
   if (qs.request.explain && qs.response.plan_json.empty()) {
     BuildExplain(qs, nullptr);  // PreSearch answered without a search
   }
@@ -727,7 +640,7 @@ void QueryExecutor::WorkerLoop() {
     }
     active_workers_.fetch_add(1, std::memory_order_relaxed);
     if (work == Work::kComponent) {
-      ExecuteComponentTask(task);
+      if (RunBranchTask(*task.query, task.slot)) FinalizeQuery(*task.query);
     } else {
       auto qs = std::make_shared<QueryState>();
       qs->request = std::move(pending.request);

@@ -24,11 +24,10 @@ namespace fairclique {
 /// Sizing of the query worker pool.
 struct ExecutorOptions {
   /// Worker threads. Queued queries are expanded into *component-granular*
-  /// tasks scheduled onto this pool: all in-flight queries' components
-  /// interleave, so one huge component no longer monopolizes a worker pool
-  /// while other queries' small components wait. SearchOptions::num_threads
-  /// is therefore ignored for queued requests (the pool is the
-  /// parallelism); the synchronous Run() still honors it.
+  /// tasks (one BranchStage task each) scheduled onto this pool: all
+  /// in-flight queries' components interleave, so one huge component no
+  /// longer monopolizes the pool while other queries' small components
+  /// wait.
   int num_workers = 2;
   /// Requests waiting beyond the ones being executed. Submit rejects (does
   /// not block) once the queue is full, giving callers explicit
@@ -156,8 +155,8 @@ struct ExecutorMetrics {
 ///
 /// Workers prefer component tasks over admitting new queries, so in-flight
 /// queries finish before fresh ones start reducing. Components of one query
-/// share an atomic incumbent-size floor (exactly as the in-search parallel
-/// mode does), so answers are identical to a sequential search.
+/// share the BranchStage's atomic incumbent-size floor, so answers are
+/// identical to a sequential search.
 ///
 /// The executor owns its worker threads; the result cache and prepared-plan
 /// cache are optional, shared, and owned by the caller (pass nullptr to
@@ -180,9 +179,9 @@ class QueryExecutor {
   std::future<QueryResponse> Submit(QueryRequest request);
 
   /// Runs a request synchronously on the calling thread, through the same
-  /// cache path as queued requests (used by sequential baselines in
-  /// benchmarks). Honors SearchOptions::num_threads for the Branch stage
-  /// instead of the shared component queue.
+  /// cache path and Branch stage as queued requests (used by sequential
+  /// baselines in benchmarks); the component tasks run in order on the
+  /// caller instead of the shared component queue.
   QueryResponse Run(const QueryRequest& request);
 
   /// Blocks until every accepted request has been served.
@@ -201,7 +200,7 @@ class QueryExecutor {
   /// and fulfills the promise.
   struct QueryState;
 
-  /// One schedulable unit: branch component `slot` of `query`'s selection.
+  /// One schedulable unit: task `slot` of `query`'s BranchStage.
   struct ComponentTask {
     std::shared_ptr<QueryState> query;
     size_t slot = 0;
@@ -234,10 +233,18 @@ class QueryExecutor {
   void BuildExplain(QueryState& qs, const SearchResult* sr);
   /// Bumps the stopped_* counter matching an early-stopped search's reason.
   void CountStop(const QueryState& qs, const SearchStats& stats);
-  /// Worker path: seed the incumbent, select components, fan tasks out (or
-  /// finalize immediately when nothing survives selection).
+  /// Builds the query's BranchStage (seed + component selection), registers
+  /// live progress and journals the start. Returns the task count.
+  size_t StartBranch(QueryState& qs);
+  /// Runs one stage task with its trace stamp and journal events; true for
+  /// the call that finished the stage's last task.
+  bool RunBranchTask(QueryState& qs, size_t task);
+  /// Aggregates the finished stage and hands the result to FinishSearch.
+  void FinishBranch(QueryState& qs);
+  /// Worker path: StartBranch, then fan the tasks out onto the component
+  /// queue (or finalize immediately when nothing survives selection).
   void ExpandQuery(std::shared_ptr<QueryState> qs);
-  void ExecuteComponentTask(const ComponentTask& task);
+  /// FinishBranch + CompleteQuery, run by whoever finished the last task.
   void FinalizeQuery(QueryState& qs);
   /// Sets the promise and settles the in-flight accounting.
   void CompleteQuery(QueryState& qs);

@@ -76,9 +76,8 @@ class ResultCache {
 
   /// The canonical cache key: FingerprintHex(fingerprint) + "|" +
   /// CanonicalOptionsKey(options). Options fields that cannot change the
-  /// answer (engine, num_threads, warm_start) are canonicalized away, so
-  /// e.g. a 1-thread and an 8-thread query for the same (k, delta, bounds)
-  /// share one entry.
+  /// answer (engine, warm_start) are canonicalized away, so e.g. a vector
+  /// and a bitset query for the same (k, delta, bounds) share one entry.
   static std::string MakeKey(uint64_t fingerprint,
                              const SearchOptions& options);
 

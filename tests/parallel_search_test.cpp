@@ -5,6 +5,8 @@
 #include "core/verifier.h"
 #include "datasets/datasets.h"
 #include "graph/generators.h"
+#include "service/graph_registry.h"
+#include "service/query_executor.h"
 #include "test_util.h"
 
 namespace fairclique {
@@ -13,7 +15,7 @@ namespace {
 using testing_util::RandomAttributedGraph;
 
 // A graph with many mid-size components, each containing a fair clique, so
-// the parallel path actually distributes work.
+// a pool actually distributes the Branch stage's component tasks.
 AttributedGraph ManyComponentGraph(uint64_t seed, int components) {
   Rng rng(seed);
   GraphBuilder builder(static_cast<VertexId>(components * 30));
@@ -42,18 +44,30 @@ AttributedGraph ManyComponentGraph(uint64_t seed, int components) {
   return builder.Build();
 }
 
+// Searches `g` on a QueryExecutor pool of `workers` threads: the query's
+// BranchStage tasks spread over the pool, sharing the incumbent floor.
+SearchResult PoolSearch(const AttributedGraph& g, const SearchOptions& options,
+                        int workers) {
+  GraphRegistry registry;
+  EXPECT_TRUE(registry.Add("g", g).ok());
+  QueryExecutor executor(ExecutorOptions{workers, 8}, nullptr);
+  QueryRequest request;
+  request.graph = registry.Get("g");
+  request.options = options;
+  QueryResponse response = executor.Submit(request).get();
+  EXPECT_TRUE(response.status.ok());
+  return response.result != nullptr ? *response.result : SearchResult{};
+}
+
 TEST(ParallelSearchTest, MatchesSequentialAnswerSize) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     AttributedGraph g = ManyComponentGraph(seed, 12);
-    for (int threads : {2, 4, 8}) {
-      SearchOptions seq = FullOptions(2, 2, ExtraBound::kColorfulDegeneracy);
-      seq.num_threads = 1;
-      SearchOptions par = seq;
-      par.num_threads = threads;
-      SearchResult rs = FindMaximumFairClique(g, seq);
-      SearchResult rp = FindMaximumFairClique(g, par);
+    SearchOptions options = FullOptions(2, 2, ExtraBound::kColorfulDegeneracy);
+    SearchResult rs = FindMaximumFairClique(g, options);
+    for (int workers : {2, 4, 8}) {
+      SearchResult rp = PoolSearch(g, options, workers);
       EXPECT_EQ(rs.clique.size(), rp.clique.size())
-          << "seed=" << seed << " threads=" << threads;
+          << "seed=" << seed << " workers=" << workers;
       if (!rp.clique.empty()) {
         EXPECT_TRUE(VerifyFairClique(g, rp.clique.vertices, {2, 2}).ok());
       }
@@ -67,31 +81,17 @@ TEST(ParallelSearchTest, MatchesOracleOnRandomGraphs) {
     AttributedGraph g = RandomAttributedGraph(40, 0.3, seed);
     FairnessParams params{2, 1};
     CliqueResult oracle = MaxFairCliqueByEnumeration(g, params);
-    SearchOptions opts = BoundedOptions(2, 1, ExtraBound::kColorfulPath);
-    opts.num_threads = 4;
-    SearchResult r = FindMaximumFairClique(g, opts);
+    SearchResult r =
+        PoolSearch(g, BoundedOptions(2, 1, ExtraBound::kColorfulPath), 4);
     EXPECT_EQ(r.clique.size(), oracle.size()) << "seed " << seed;
   }
 }
 
-TEST(ParallelSearchTest, ZeroMeansHardwareConcurrency) {
-  AttributedGraph g = ManyComponentGraph(21, 6);
-  SearchOptions opts = BaselineOptions(2, 2);
-  opts.num_threads = 0;  // hardware concurrency
-  SearchResult r = FindMaximumFairClique(g, opts);
-  SearchOptions seq = opts;
-  seq.num_threads = 1;
-  SearchResult rs = FindMaximumFairClique(g, seq);
-  EXPECT_EQ(r.clique.size(), rs.clique.size());
-}
-
 TEST(ParallelSearchTest, DatasetScaleAgreement) {
   AttributedGraph g = LoadDataset("dblp-s", 0.5);
-  SearchOptions seq = FullOptions(5, 2, ExtraBound::kColorfulPath);
-  SearchOptions par = seq;
-  par.num_threads = 4;
-  SearchResult rs = FindMaximumFairClique(g, seq);
-  SearchResult rp = FindMaximumFairClique(g, par);
+  SearchOptions options = FullOptions(5, 2, ExtraBound::kColorfulPath);
+  SearchResult rs = FindMaximumFairClique(g, options);
+  SearchResult rp = PoolSearch(g, options, 4);
   EXPECT_EQ(rs.clique.size(), rp.clique.size());
 }
 
@@ -104,9 +104,7 @@ TEST(ParallelSearchTest, ManyTrivialComponentsDoNotCrash) {
     builder.SetAttribute(v + 1, Attribute::kB);
   }
   AttributedGraph g = builder.Build();
-  SearchOptions opts = BaselineOptions(2, 1);
-  opts.num_threads = 8;
-  SearchResult r = FindMaximumFairClique(g, opts);
+  SearchResult r = PoolSearch(g, BaselineOptions(2, 1), 8);
   EXPECT_TRUE(r.clique.empty());  // (2,*) needs 4 vertices.
 }
 

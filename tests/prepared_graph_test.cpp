@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/enumeration.h"
@@ -253,9 +255,20 @@ TEST(PreparedGraphTest, StatsAggregateDeterministically) {
   EXPECT_EQ(r1.stats.attr_prunes, r2.stats.attr_prunes);
   EXPECT_EQ(r1.clique.vertices, r2.clique.vertices);
 
-  SearchOptions par = seq;
-  par.num_threads = 3;
-  SearchResult rp = SearchPreparedGraph(g, *prepared, par);
+  // The same stage's tasks on concurrent threads: the answer size holds and
+  // exactly one task reports finishing the stage.
+  BranchStage stage(g, *prepared, seq, Deadline());
+  ASSERT_EQ(stage.num_tasks(), 3u);
+  std::atomic<int> finishers{0};
+  std::vector<std::thread> threads;
+  for (size_t task = 0; task < stage.num_tasks(); ++task) {
+    threads.emplace_back([&stage, &finishers, task] {
+      if (stage.RunTask(task)) finishers.fetch_add(1);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(finishers.load(), 1);
+  SearchResult rp = stage.Aggregate();
   EXPECT_EQ(rp.clique.size(), r1.clique.size());
   EXPECT_TRUE(rp.stats.completed);
   // The summed per-component time is populated and covers every branched

@@ -90,13 +90,10 @@ TEST(OptionsKeyTest, HandRolledOptionsEqualToPresetCollide) {
 
 TEST(OptionsKeyTest, AnswerIrrelevantFieldsCanonicalizedAway) {
   SearchOptions base = FullOptions(3, 1, ExtraBound::kColorfulPath);
-  SearchOptions threaded = base;
-  threaded.num_threads = 8;
   SearchOptions bitset = base;
   bitset.engine = SearchEngine::kBitset;
   SearchOptions vec = base;
   vec.engine = SearchEngine::kVector;
-  EXPECT_EQ(CanonicalOptionsKey(base), CanonicalOptionsKey(threaded));
   EXPECT_EQ(CanonicalOptionsKey(base), CanonicalOptionsKey(bitset));
   EXPECT_EQ(CanonicalOptionsKey(base), CanonicalOptionsKey(vec));
 }
@@ -224,14 +221,13 @@ TEST(ResultCacheTest, ZeroCapacityDisablesCaching) {
 }
 
 TEST(ResultCacheTest, EquivalentOptionsShareOneEntry) {
-  // The canonicalization promise end to end: a key built from an 8-thread
-  // bitset query finds the entry stored by a 1-thread vector query.
+  // The canonicalization promise end to end: a key built from a bitset
+  // query finds the entry stored by a default-engine query.
   ResultCache cache(8);
   SearchOptions stored = FullOptions(3, 1, ExtraBound::kColorfulPath);
   cache.Put(ResultCache::MakeKey(42, stored), FakeResult(7));
 
   SearchOptions probe = FullOptions(3, 1, ExtraBound::kColorfulPath);
-  probe.num_threads = 8;
   probe.engine = SearchEngine::kBitset;
   auto hit = cache.Get(ResultCache::MakeKey(42, probe));
   ASSERT_NE(hit, nullptr);
@@ -432,20 +428,6 @@ TEST(QueryExecutorTest, DrainWaitsForAllAccepted) {
   for (auto& f : futures) {
     EXPECT_TRUE(f.get().status.ok());
   }
-}
-
-// Satellite regression: num_threads <= 0 must clamp to the component count
-// instead of spawning hardware_concurrency idle workers; the answer is the
-// single-thread answer.
-TEST(QueryExecutorTest, AutoThreadsMatchesSingleThreadAnswer) {
-  AttributedGraph g = RandomAttributedGraph(150, 0.08, 0xACE);
-  SearchOptions single = FullOptions(2, 2, ExtraBound::kColorfulPath);
-  single.num_threads = 1;
-  SearchOptions autothreads = single;
-  autothreads.num_threads = 0;  // hardware concurrency, clamped to components
-  SearchResult a = FindMaximumFairClique(g, single);
-  SearchResult b = FindMaximumFairClique(g, autothreads);
-  EXPECT_EQ(a.clique.size(), b.clique.size());
 }
 
 // -------------------------------------------------------- concurrent clients

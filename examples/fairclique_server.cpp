@@ -283,12 +283,22 @@ struct Server {
     if (entry == nullptr) {
       return PrintError(id, "query: graph '" + name + "' not loaded");
     }
-    int k = static_cast<int>(GetNumber(obj, "k", 2));
-    int delta = static_cast<int>(GetNumber(obj, "delta", 2));
-    // The search asserts (aborts) on these; reject at the protocol boundary
-    // so one bad query cannot take the server down.
-    if (k < 1) return PrintError(id, "query: k must be >= 1");
-    if (delta < 0) return PrintError(id, "query: delta must be >= 0");
+    // The search asserts (aborts) on out-of-range k and delta; reject them
+    // at the protocol boundary so one bad query cannot take the server
+    // down. The cap keeps every k/delta sum far from int overflow.
+    constexpr int64_t kMaxParam = int64_t{1} << 24;
+    int64_t k_arg = 0;
+    int64_t delta_arg = 0;
+    if (!wire::GetInt(obj, "k", 2, 1, kMaxParam, &k_arg)) {
+      return PrintError(id, "query: k must be an integer in [1, " +
+                                std::to_string(kMaxParam) + "]");
+    }
+    if (!wire::GetInt(obj, "delta", 2, 0, kMaxParam, &delta_arg)) {
+      return PrintError(id, "query: delta must be an integer in [0, " +
+                                std::to_string(kMaxParam) + "]");
+    }
+    const int k = static_cast<int>(k_arg);
+    const int delta = static_cast<int>(delta_arg);
     ExtraBound extra;
     if (!wire::ParseExtraBound(GetString(obj, "extra", "cp"), &extra)) {
       return PrintError(id, "query: bad 'extra'");
@@ -366,7 +376,10 @@ struct Server {
   }
 
   void HandleJournal(uint64_t id, const JsonObject& obj) {
-    size_t limit = static_cast<size_t>(GetNumber(obj, "limit", 64));
+    int64_t limit = 0;
+    if (!wire::GetInt(obj, "limit", 64, 0, wire::kMaxExactJsonInt, &limit)) {
+      return PrintError(id, "journal: limit must be an integer in [0, 2^53]");
+    }
     obs::EventJournal& journal = obs::EventJournal::Default();
     JsonWriter w;
     w.BeginObject()
@@ -374,7 +387,7 @@ struct Server {
         .Field("id", static_cast<unsigned long long>(id))
         .Field("recorded",
                static_cast<unsigned long long>(journal.recorded()));
-    w.Key("events").Raw(journal.Json(limit));
+    w.Key("events").Raw(journal.Json(static_cast<size_t>(limit)));
     w.EndObject();
     PrintLine(w);
   }
@@ -416,8 +429,11 @@ struct Server {
       // so clients can use one command for both listing and lookup.
       return HandleTrace(id, obj);
     }
-    size_t limit = static_cast<size_t>(GetNumber(obj, "limit", 0));
-    auto traces = obs::Slowlog::Default().Slowest(limit);
+    int64_t limit = 0;
+    if (!wire::GetInt(obj, "limit", 0, 0, wire::kMaxExactJsonInt, &limit)) {
+      return PrintError(id, "slowlog: limit must be an integer in [0, 2^53]");
+    }
+    auto traces = obs::Slowlog::Default().Slowest(static_cast<size_t>(limit));
     for (const auto& trace : traces) {
       std::printf("%s\n", TraceJson(*trace).c_str());
     }
@@ -431,7 +447,12 @@ struct Server {
   }
 
   void HandleTrace(uint64_t id, const JsonObject& obj) {
-    uint64_t trace_id = static_cast<uint64_t>(GetNumber(obj, "trace_id", 0));
+    int64_t trace_arg = 0;
+    if (!wire::GetInt(obj, "trace_id", 0, 0, wire::kMaxExactJsonInt,
+                      &trace_arg)) {
+      return PrintError(id, "trace: trace_id must be an integer in [0, 2^53]");
+    }
+    const uint64_t trace_id = static_cast<uint64_t>(trace_arg);
     auto trace = obs::Slowlog::Default().Find(trace_id);
     if (trace == nullptr) {
       // Structured miss: echoes the requested id and a machine-readable
@@ -460,9 +481,11 @@ struct Server {
     obs::Profiler& profiler = obs::Profiler::Default();
     std::string action = GetString(obj, "action", "dump");
     if (action == "start") {
-      int hz = static_cast<int>(GetNumber(obj, "hz", 99));
-      if (hz < 1) return PrintError(id, "profile: hz must be >= 1");
-      if (!profiler.Start(hz)) {
+      int64_t hz = 0;
+      if (!wire::GetInt(obj, "hz", 99, 1, 1000000, &hz)) {
+        return PrintError(id, "profile: hz must be an integer in [1, 1000000]");
+      }
+      if (!profiler.Start(static_cast<int>(hz))) {
         return PrintError(id, "profile: already running (or SIGPROF "
                               "unavailable on this platform)");
       }
@@ -704,14 +727,12 @@ struct Server {
       return true;
     }
     std::string cmd = GetString(obj, "cmd");
-    if (obj.count("id") > 0) {
-      // Accept only ids that survive a double -> uint64 round trip; a
-      // negative or huge value would be UB to cast, so fall back to the
-      // auto-assigned id instead.
-      double requested = GetNumber(obj, "id", 0);
-      if (requested >= 0 && requested <= 9007199254740992.0) {
-        id = static_cast<uint64_t>(requested);
-      }
+    // A client id that is not an integer in [0, 2^53] keeps the
+    // auto-assigned id.
+    int64_t requested = 0;
+    if (obj.count("id") > 0 &&
+        wire::GetInt(obj, "id", 0, 0, wire::kMaxExactJsonInt, &requested)) {
+      id = static_cast<uint64_t>(requested);
     }
     if (cmd == "load") HandleLoad(id, obj);
     else if (cmd == "query") HandleQuery(id, obj);

@@ -1,7 +1,6 @@
 #include "reduction/colorful_support.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/logging.h"
 #include "graph/triangles.h"
@@ -10,57 +9,189 @@ namespace fairclique {
 
 namespace {
 
-// Per-edge multiset of common-neighbor (attribute, color) pairs — the data
-// structure M_(u,v) of Algorithm 1 — stored as a flat sorted key/count table
-// per edge, built in one triangle-enumeration pass.
-struct EdgeColorTable {
-  std::vector<uint32_t> keys;     // (color << 1) | attr, sorted per edge
-  std::vector<uint32_t> counts;   // parallel to keys
-  std::vector<uint64_t> offsets;  // size E+1
-
-  static uint32_t MakeKey(ColorId color, Attribute attr) {
-    return (static_cast<uint32_t>(color) << 1) | static_cast<uint32_t>(attr);
-  }
-
-  size_t Find(EdgeId e, uint32_t key) const {
-    const uint32_t* begin = keys.data() + offsets[e];
-    const uint32_t* end = keys.data() + offsets[e + 1];
-    const uint32_t* it = std::lower_bound(begin, end, key);
-    FC_CHECK(it != end && *it == key) << "edge color key missing";
-    return static_cast<size_t>(it - keys.data());
-  }
-
-  void Build(const AttributedGraph& g, const Coloring& coloring) {
-    const EdgeId m = g.num_edges();
-    offsets.assign(m + 1, 0);
-    keys.clear();
-    counts.clear();
-    std::vector<uint32_t> scratch;
-    for (EdgeId e = 0; e < m; ++e) {
-      const Edge& edge = g.edges()[e];
-      scratch.clear();
-      ForEachCommonNeighbor(g, edge.u, edge.v,
-                            [&](VertexId w, EdgeId, EdgeId) {
-                              scratch.push_back(MakeKey(coloring.color[w],
-                                                        g.attribute(w)));
-                            });
-      std::sort(scratch.begin(), scratch.end());
-      for (size_t i = 0; i < scratch.size();) {
-        size_t j = i;
-        while (j < scratch.size() && scratch[j] == scratch[i]) ++j;
-        keys.push_back(scratch[i]);
-        counts.push_back(static_cast<uint32_t>(j - i));
-        i = j;
-      }
-      offsets[e + 1] = keys.size();
-    }
-  }
+// Sizes of the color classes of an edge's common neighborhood: colors seen
+// only on attribute-a neighbors, only on b neighbors, or on both (Group a /
+// Group b / Mixed of Fig. 2(c)). sup_a = a_only + mixed, sup_b = b_only +
+// mixed.
+struct ColorClasses {
+  int32_t a_only = 0;
+  int32_t b_only = 0;
+  int32_t mixed = 0;
 };
 
-// Shared edge-peeling driver. `Violates(e)` checks the per-edge survival
-// condition from the current support state; `OnNeighborLoss(e, w_attr, w)`
-// updates edge e's state after losing common neighbor w and returns true
-// when e must be re-checked.
+// Per-stage triangle index: every edge e = {u, v} (u < v) owns one slot per
+// triangle {u, v, w} on it, holding the side edges ({u,w}, {v,w}). An edge's
+// slots are sorted by the key (color(w) << 1) | attr(w), so a run of equal
+// keys is exactly the paper's M_e(attr, color) entry (Algorithm 1) and its
+// count is the number of alive slots in the run. Runs are delimited by a
+// head flag; keys are not stored but recomputed from the side edge, which
+// keeps the index at 9 bytes per slot.
+class TriangleIndex {
+ public:
+  struct Slot {
+    EdgeId first;   // {u, w}
+    EdgeId second;  // {v, w}
+  };
+
+  // (color(w) << 1) | attr(w): a vertex's M_e key.
+  uint32_t KeyOf(VertexId w) const {
+    return (static_cast<uint32_t>(coloring_.color[w]) << 1) |
+           static_cast<uint32_t>(g_.attribute(w));
+  }
+
+  // Lists the triangles of `g` once: a count pass, then a fill pass
+  // straight into the per-edge slots. The slots are unsorted until
+  // SortIntoRuns.
+  TriangleIndex(const AttributedGraph& g, const Coloring& coloring)
+      : g_(g), coloring_(coloring) {
+    const EdgeId m = g.num_edges();
+    offsets_.assign(static_cast<size_t>(m) + 1, 0);
+    DegreeOrientation orientation(g);
+    orientation.ForEachTriangle([this](EdgeId uv, EdgeId uw, EdgeId vw) {
+      ++offsets_[uv + 1];
+      ++offsets_[uw + 1];
+      ++offsets_[vw + 1];
+    });
+    for (EdgeId e = 0; e < m; ++e) offsets_[e + 1] += offsets_[e];
+    // offsets_[e] serves as edge e's write cursor; afterwards it holds the
+    // end of e's slots and is shifted back into place.
+    slots_.resize(offsets_[m]);
+    orientation.ForEachTriangle([this](EdgeId uv, EdgeId uw, EdgeId vw) {
+      slots_[offsets_[uv]++] = {uw, vw};
+      slots_[offsets_[uw]++] = {uv, vw};
+      slots_[offsets_[vw]++] = {uv, uw};
+    });
+    for (EdgeId e = m; e > 0; --e) offsets_[e] = offsets_[e - 1];
+    offsets_[0] = 0;
+  }
+
+  // Sorts each edge's slots into runs and reports every edge's initial
+  // color classes through `on_edge(e, classes)`. Callers allocate their
+  // per-edge state after the constructor, once the orientation is freed,
+  // so the two never coexist.
+  template <typename EdgeFn>
+  void SortIntoRuns(EdgeFn&& on_edge) {
+    const EdgeId m = g_.num_edges();
+    flags_.resize(slots_.size());
+    struct Keyed {
+      uint64_t order;  // (key << 32) | first: a total order within an edge
+      EdgeId second;
+    };
+    std::vector<Keyed> scratch;
+    for (EdgeId e = 0; e < m; ++e) {
+      const uint64_t begin = offsets_[e];
+      const uint64_t end = offsets_[e + 1];
+      const VertexId u = g_.edges()[e].u;
+      scratch.clear();
+      for (uint64_t i = begin; i < end; ++i) {
+        scratch.push_back(
+            {(static_cast<uint64_t>(KeyAt(u, i)) << 32) | slots_[i].first,
+             slots_[i].second});
+      }
+      std::sort(scratch.begin(), scratch.end(),
+                [](const Keyed& x, const Keyed& y) {
+                  return x.order < y.order;
+                });
+      auto key_of = [&scratch](size_t j) {
+        return static_cast<uint32_t>(scratch[j].order >> 32);
+      };
+      ColorClasses classes;
+      for (size_t j = 0; j < scratch.size(); ++j) {
+        const uint32_t key = key_of(j);
+        slots_[begin + j] = {static_cast<EdgeId>(scratch[j].order),
+                             scratch[j].second};
+        const bool head = j == 0 || key_of(j - 1) != key;
+        flags_[begin + j] = kAlive | (head ? kRunHead : 0);
+        if (!head) continue;
+        // (c, b) directly follows (c, a) when color c is mixed.
+        if ((key & 1) == 0) {
+          classes.a_only++;
+        } else if (j > 0 && key_of(j - 1) == (key ^ 1)) {
+          classes.a_only--;
+          classes.mixed++;
+        } else {
+          classes.b_only++;
+        }
+      }
+      on_edge(e, classes);
+    }
+  }
+
+  uint64_t begin(EdgeId e) const { return offsets_[e]; }
+  uint64_t end(EdgeId e) const { return offsets_[e + 1]; }
+  const Slot& slot(uint64_t i) const { return slots_[i]; }
+
+  // Edge f loses the triangle it shares with edge e; `key` is the key of the
+  // triangle's vertex opposite f. Clears that slot and returns true when it
+  // was the last alive slot of its run, i.e. M_f(key) dropped to zero.
+  bool Kill(EdgeId f, EdgeId e, uint32_t key) {
+    const uint64_t run = FindRun(f, key);
+    const uint64_t end_f = end(f);
+    uint64_t hit = end_f;
+    bool others_alive = false;
+    for (uint64_t i = run; i < end_f && (i == run || !(flags_[i] & kRunHead));
+         ++i) {
+      if (slots_[i].first == e || slots_[i].second == e) {
+        hit = i;
+      } else if (flags_[i] & kAlive) {
+        others_alive = true;
+      }
+    }
+    FC_CHECK(hit != end_f) << "edge color key missing";
+    FC_CHECK(flags_[hit] & kAlive) << "double decrement on edge color count";
+    flags_[hit] &= static_cast<uint8_t>(~kAlive);
+    return !others_alive;
+  }
+
+  // True while M_f(key) > 0.
+  bool HasAlive(EdgeId f, uint32_t key) const {
+    const uint64_t run = FindRun(f, key);
+    const uint64_t end_f = end(f);
+    if (run == end_f || KeyAt(g_.edges()[f].u, run) != key) return false;
+    for (uint64_t i = run; i < end_f && (i == run || !(flags_[i] & kRunHead));
+         ++i) {
+      if (flags_[i] & kAlive) return true;
+    }
+    return false;
+  }
+
+ private:
+  static constexpr uint8_t kAlive = 1;
+  static constexpr uint8_t kRunHead = 2;
+
+  // Key of slot i of an edge whose smaller endpoint is u: the third vertex
+  // is the far end of the side edge {u, w}.
+  uint32_t KeyAt(VertexId u, uint64_t i) const {
+    const Edge& side = g_.edges()[slots_[i].first];
+    return KeyOf(side.u ^ side.v ^ u);
+  }
+
+  // First slot of edge f whose key is >= `key`.
+  uint64_t FindRun(EdgeId f, uint32_t key) const {
+    const VertexId u = g_.edges()[f].u;
+    uint64_t lo = begin(f);
+    uint64_t hi = end(f);
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (KeyAt(u, mid) < key) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  const AttributedGraph& g_;
+  const Coloring& coloring_;
+  std::vector<uint64_t> offsets_;  // size E+1
+  std::vector<Slot> slots_;        // 3 per triangle
+  std::vector<uint8_t> flags_;     // kAlive | kRunHead, parallel to slots_
+};
+
+// Shared edge-peeling driver over a TriangleIndex. `policy.Violates(e)`
+// checks the per-edge survival condition; `policy.OnRunEmptied(f, key)`
+// updates edge f's supports after M_f(key) dropped to zero.
 //
 // Triangle accounting: a triangle is torn down exactly once — when the first
 // of its edges to be *popped* from the queue is processed. At that moment the
@@ -70,48 +201,47 @@ struct EdgeColorTable {
 // violation check never re-queues an edge. At fixpoint every dead edge has
 // been popped, hence every alive edge's support counts exactly the triangles
 // whose other two edges are alive — the maximal subgraph of Lemma 3/4.
-template <typename ViolatesFn, typename LossFn>
-EdgeReductionResult PeelEdges(const AttributedGraph& g,
-                              ViolatesFn&& violates, LossFn&& on_loss) {
+template <typename Policy>
+EdgeReductionResult PeelEdges(const AttributedGraph& g, TriangleIndex& index,
+                              Policy& policy) {
   const EdgeId m = g.num_edges();
   EdgeReductionResult result;
   result.edge_alive.assign(m, 1);
   result.vertex_alive.assign(g.num_vertices(), 0);
   // not_processed[e] == 1 until e has been popped and its triangles torn
-  // down. Doubles as the enumeration filter: a triangle with a processed
-  // side edge has already been handled.
+  // down. A triangle with a processed side edge has already been handled.
   std::vector<uint8_t> not_processed(m, 1);
 
-  std::deque<EdgeId> queue;
+  // FIFO of removed edges; every edge is pushed at most once.
+  std::vector<EdgeId> queue;
+  queue.reserve(m);
   for (EdgeId e = 0; e < m; ++e) {
-    if (violates(e)) {
+    if (policy.Violates(e)) {
       result.edge_alive[e] = 0;  // Removed immediately (Alg. 1 line 10).
       queue.push_back(e);
     }
   }
-  while (!queue.empty()) {
-    EdgeId e = queue.front();
-    queue.pop_front();
-    const Edge& edge = g.edges()[e];
-    const VertexId u = edge.u;
-    const VertexId v = edge.v;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const EdgeId e = queue[head];
     not_processed[e] = 0;
-    // Edge (u,w) loses common neighbor v; edge (v,w) loses u.
-    ForEachAliveCommonNeighbor(
-        g, u, v, {}, not_processed,
-        [&](VertexId w, EdgeId euw, EdgeId evw) {
-          (void)w;
-          if (result.edge_alive[euw] && on_loss(euw, g.attribute(v), v) &&
-              violates(euw)) {
-            result.edge_alive[euw] = 0;
-            queue.push_back(euw);
-          }
-          if (result.edge_alive[evw] && on_loss(evw, g.attribute(u), u) &&
-              violates(evw)) {
-            result.edge_alive[evw] = 0;
-            queue.push_back(evw);
-          }
-        });
+    // Side edge f loses common neighbor x, the endpoint of e opposite it.
+    auto lose = [&](EdgeId f, VertexId x) {
+      if (!result.edge_alive[f]) return;
+      const uint32_t key = index.KeyOf(x);
+      if (!index.Kill(f, e, key)) return;
+      policy.OnRunEmptied(f, key);
+      if (policy.Violates(f)) {
+        result.edge_alive[f] = 0;
+        queue.push_back(f);
+      }
+    };
+    const Edge& edge = g.edges()[e];
+    for (uint64_t i = index.begin(e); i < index.end(e); ++i) {
+      const TriangleIndex::Slot& s = index.slot(i);
+      if (!not_processed[s.first] || !not_processed[s.second]) continue;
+      lose(s.first, edge.v);   // {u,w} loses v
+      lose(s.second, edge.u);  // {v,w} loses u
+    }
   }
   for (EdgeId e = 0; e < m; ++e) {
     if (result.edge_alive[e]) {
@@ -130,47 +260,40 @@ EdgeReductionResult PeelEdges(const AttributedGraph& g,
 
 std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
                                                 const Coloring& coloring) {
-  EdgeColorTable table;
-  table.Build(g, coloring);
+  TriangleIndex index(g, coloring);
   std::vector<AttrCounts> sup(g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    for (uint64_t i = table.offsets[e]; i < table.offsets[e + 1]; ++i) {
-      sup[e][static_cast<Attribute>(table.keys[i] & 1)]++;
-    }
-  }
+  index.SortIntoRuns([&sup](EdgeId e, ColorClasses c) {
+    sup[e][Attribute::kA] = c.a_only + c.mixed;
+    sup[e][Attribute::kB] = c.b_only + c.mixed;
+  });
   return sup;
 }
 
 EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
                                          const Coloring& coloring, int k) {
-  EdgeColorTable table;
-  table.Build(g, coloring);
-  std::vector<AttrCounts> sup(g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    for (uint64_t i = table.offsets[e]; i < table.offsets[e + 1]; ++i) {
-      sup[e][static_cast<Attribute>(table.keys[i] & 1)]++;
-    }
-  }
+  struct Policy {
+    const AttributedGraph& g;
+    int k;
+    std::vector<int32_t> sup;  // (sup_a, sup_b) per edge, interleaved
 
-  auto violates = [&](EdgeId e) {
-    const Edge& edge = g.edges()[e];
-    int64_t ta, tb;
-    SupportThresholds(g.attribute(edge.u), g.attribute(edge.v), k, &ta, &tb);
-    return sup[e][Attribute::kA] < ta || sup[e][Attribute::kB] < tb;
-  };
-  // Losing common neighbor w (attribute attr_w, color color(w)) decrements
-  // M_e(attr_w, color_w); the support drops only when that count hits zero.
-  auto on_loss = [&](EdgeId e, Attribute attr_w, VertexId w) {
-    uint32_t key = EdgeColorTable::MakeKey(coloring.color[w], attr_w);
-    size_t idx = table.Find(e, key);
-    FC_CHECK(table.counts[idx] > 0) << "double decrement on edge color count";
-    if (--table.counts[idx] == 0) {
-      sup[e][attr_w]--;
-      return true;
+    bool Violates(EdgeId e) const {
+      const Edge& edge = g.edges()[e];
+      int64_t ta, tb;
+      SupportThresholds(g.attribute(edge.u), g.attribute(edge.v), k, &ta, &tb);
+      return sup[2 * e] < ta || sup[2 * e + 1] < tb;
     }
-    return false;
+    // Losing the last common neighbor of color c and attribute x drops
+    // sup_x by one.
+    void OnRunEmptied(EdgeId f, uint32_t key) { sup[2 * f + (key & 1)]--; }
   };
-  return PeelEdges(g, violates, on_loss);
+  TriangleIndex index(g, coloring);
+  Policy policy{g, k,
+                std::vector<int32_t>(2 * static_cast<size_t>(g.num_edges()))};
+  index.SortIntoRuns([&policy](EdgeId e, ColorClasses c) {
+    policy.sup[2 * e] = c.a_only + c.mixed;
+    policy.sup[2 * e + 1] = c.b_only + c.mixed;
+  });
+  return PeelEdges(g, index, policy);
 }
 
 AttrCounts GreedyEnhancedSupport(int64_t ca, int64_t cb, int64_t cm,
@@ -188,70 +311,41 @@ AttrCounts GreedyEnhancedSupport(int64_t ca, int64_t cb, int64_t cm,
 
 EdgeReductionResult EnColorfulSupReduction(const AttributedGraph& g,
                                            const Coloring& coloring, int k) {
-  EdgeColorTable table;
-  table.Build(g, coloring);
-  // Per-edge color-class sizes (Group a / Group b / Mixed of Fig. 2(c)).
-  struct Classes {
-    int32_t ca = 0, cb = 0, cm = 0;
-  };
-  std::vector<Classes> cls(g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    uint64_t i = table.offsets[e];
-    const uint64_t end = table.offsets[e + 1];
-    while (i < end) {
-      if (i + 1 < end && (table.keys[i] >> 1) == (table.keys[i + 1] >> 1)) {
-        cls[e].cm++;
-        i += 2;
-      } else if ((table.keys[i] & 1) == 0) {
-        cls[e].ca++;
-        i += 1;
-      } else {
-        cls[e].cb++;
-        i += 1;
-      }
-    }
-  }
+  struct Policy {
+    const AttributedGraph& g;
+    int k;
+    std::vector<ColorClasses> cls;
+    const TriangleIndex* index;
 
-  auto violates = [&](EdgeId e) {
-    const Edge& edge = g.edges()[e];
-    int64_t ta, tb;
-    SupportThresholds(g.attribute(edge.u), g.attribute(edge.v), k, &ta, &tb);
-    // Feasibility of the mixed-color assignment: both deficits must be
-    // coverable by distinct mixed colors.
-    int64_t need_a = std::max<int64_t>(0, ta - cls[e].ca);
-    int64_t need_b = std::max<int64_t>(0, tb - cls[e].cb);
-    return need_a + need_b > cls[e].cm;
-  };
-  auto on_loss = [&](EdgeId e, Attribute attr_w, VertexId w) {
-    const ColorId color = coloring.color[w];
-    uint32_t key = EdgeColorTable::MakeKey(color, attr_w);
-    size_t idx = table.Find(e, key);
-    FC_CHECK(table.counts[idx] > 0) << "double decrement on edge color count";
-    if (--table.counts[idx] != 0) return false;
-    // Color lost its attr_w side on this edge; reclassify.
-    uint32_t other_key = EdgeColorTable::MakeKey(color, Other(attr_w));
-    const uint32_t* begin = table.keys.data() + table.offsets[e];
-    const uint32_t* end = table.keys.data() + table.offsets[e + 1];
-    const uint32_t* it = std::lower_bound(begin, end, other_key);
-    bool other_alive = it != end && *it == other_key &&
-                       table.counts[it - table.keys.data()] > 0;
-    if (other_alive) {
-      cls[e].cm--;
-      if (attr_w == Attribute::kA) {
-        cls[e].cb++;
+    bool Violates(EdgeId e) const {
+      const Edge& edge = g.edges()[e];
+      int64_t ta, tb;
+      SupportThresholds(g.attribute(edge.u), g.attribute(edge.v), k, &ta, &tb);
+      // Feasibility of the mixed-color assignment: both deficits must be
+      // coverable by distinct mixed colors.
+      int64_t need_a = std::max<int64_t>(0, ta - cls[e].a_only);
+      int64_t need_b = std::max<int64_t>(0, tb - cls[e].b_only);
+      return need_a + need_b > cls[e].mixed;
+    }
+    // Color c lost its attribute-x side on f: a mixed color becomes
+    // other-only, an x-only color disappears.
+    void OnRunEmptied(EdgeId f, uint32_t key) {
+      ColorClasses& c = cls[f];
+      const bool lost_a = (key & 1) == 0;
+      if (index->HasAlive(f, key ^ 1)) {
+        c.mixed--;
+        (lost_a ? c.b_only : c.a_only)++;
       } else {
-        cls[e].ca++;
-      }
-    } else {
-      if (attr_w == Attribute::kA) {
-        cls[e].ca--;
-      } else {
-        cls[e].cb--;
+        (lost_a ? c.a_only : c.b_only)--;
       }
     }
-    return true;
   };
-  return PeelEdges(g, violates, on_loss);
+  TriangleIndex index(g, coloring);
+  Policy policy{g, k, std::vector<ColorClasses>(g.num_edges()), &index};
+  index.SortIntoRuns([&policy](EdgeId e, ColorClasses c) {
+    policy.cls[e] = c;
+  });
+  return PeelEdges(g, index, policy);
 }
 
 }  // namespace fairclique

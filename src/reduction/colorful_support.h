@@ -21,7 +21,9 @@ struct EdgeReductionResult {
 
 /// Colorful support of every edge (Definition 6): sup_ai(u,v) = number of
 /// distinct colors among common neighbors of u and v having attribute ai.
-/// Exposed for tests and diagnostics; O(alpha * E) triangle enumeration.
+/// Exposed for tests and diagnostics. Builds the same triangle index as the
+/// reductions below: time O(alpha * E + T), space O(E + T) slots, where T is
+/// the number of triangles.
 std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
                                                 const Coloring& coloring);
 
@@ -31,8 +33,14 @@ std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
 ///   A(u)=A(v)=b : sup_a >= k   and sup_b >= k-2
 ///   mixed       : sup_a >= k-1 and sup_b >= k-1
 /// The surviving subgraph contains every relative fair clique with size
-/// parameter k. Time O(alpha * E + V), space O(sum over edges of distinct
-/// common-neighbor (attr, color) pairs).
+/// parameter k.
+///
+/// The triangles are listed once over the degree-oriented graph into an
+/// edge->triangle index (one slot per triangle per edge, sorted into
+/// (color, attr) runs that are the paper's M_e entries); a removed edge then
+/// walks only its own slots. Time O(alpha * E + T), where T is the number
+/// of triangles, plus, per support decrement, a binary search over the side
+/// edge's slots and a scan of one run. Space O(E + T) slots.
 EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
                                          const Coloring& coloring, int k);
 
@@ -42,7 +50,7 @@ EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
 /// one attribute. An edge with endpoint-attribute thresholds (ta, tb)
 /// survives iff  max(0, ta-ca) + max(0, tb-cb) <= cm  (the greedy assignment
 /// of Definition 7 succeeds exactly in this case). Strictly stronger than
-/// ColorfulSup.
+/// ColorfulSup. Same index and bounds as ColorfulSupReduction.
 EdgeReductionResult EnColorfulSupReduction(const AttributedGraph& g,
                                            const Coloring& coloring, int k);
 

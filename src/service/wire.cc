@@ -1,6 +1,7 @@
 #include "service/wire.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -140,6 +141,21 @@ bool GetBool(const JsonObject& obj, const std::string& key, bool fallback) {
     return fallback;
   }
   return it->second.b;
+}
+
+bool GetInt(const JsonObject& obj, const std::string& key, int64_t fallback,
+            int64_t lo, int64_t hi, int64_t* out) {
+  auto it = obj.find(key);
+  if (it == obj.end()) {
+    *out = fallback;
+    return true;
+  }
+  if (it->second.type != JsonValue::Type::kNumber) return false;
+  const double x = it->second.num;
+  if (!std::isfinite(x) || x != std::floor(x)) return false;
+  if (x < static_cast<double>(lo) || x > static_cast<double>(hi)) return false;
+  *out = static_cast<int64_t>(x);
+  return true;
 }
 
 std::string JsonEscape(const std::string& s) {

@@ -45,6 +45,16 @@ double GetNumber(const JsonObject& obj, const std::string& key,
                  double fallback);
 bool GetBool(const JsonObject& obj, const std::string& key, bool fallback);
 
+/// Largest integer a JSON number (a double) carries exactly: 2^53.
+constexpr int64_t kMaxExactJsonInt = int64_t{1} << 53;
+
+/// Integer field in [lo, hi]; both bounds must lie within +-kMaxExactJsonInt.
+/// A missing key stores `fallback` and succeeds. A value that is not a
+/// number, not finite, not integral or out of range returns false and
+/// leaves `*out` untouched, so no narrowing cast ever sees it.
+bool GetInt(const JsonObject& obj, const std::string& key, int64_t fallback,
+            int64_t lo, int64_t hi, int64_t* out);
+
 // ---------------------------------------------------------------- JSON out
 
 /// Escapes `s` for embedding in a JSON string literal.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 
 #include "core/enumeration.h"
 #include "graph/coloring.h"
@@ -108,6 +110,49 @@ std::vector<uint8_t> BruteEnColorfulSupFixpoint(const AttributedGraph& g,
   return alive;
 }
 
+// Alternating attributes "abab...", n vertices.
+std::string AlternatingAttrs(int n) {
+  std::string attrs;
+  for (int v = 0; v < n; ++v) attrs += v % 2 == 0 ? 'a' : 'b';
+  return attrs;
+}
+
+// Degree-tie and hub shapes for the triangle listing's degree orientation:
+// every vertex tied (K_8), one hub above a clique of its leaves, no
+// triangles at all, nothing at all, and isolated vertices beside a clique.
+std::vector<std::pair<std::string, AttributedGraph>> ShapeGraphs() {
+  std::vector<std::pair<std::string, AttributedGraph>> shapes;
+  std::vector<std::pair<int, int>> k8;
+  for (int u = 0; u < 8; ++u) {
+    for (int v = u + 1; v < 8; ++v) k8.push_back({u, v});
+  }
+  shapes.push_back({"K8", MakeGraph("aabbabab", k8)});
+  // Hub 0 with 16 leaves; leaves 1..10 form a clique, 11..16 are pendant.
+  std::vector<std::pair<int, int>> star;
+  for (int leaf = 1; leaf <= 16; ++leaf) star.push_back({0, leaf});
+  for (int u = 1; u <= 10; ++u) {
+    for (int v = u + 1; v <= 10; ++v) star.push_back({u, v});
+  }
+  shapes.push_back({"star+clique", MakeGraph(AlternatingAttrs(17), star)});
+  // 5 x 6 grid.
+  std::vector<std::pair<int, int>> grid;
+  for (int r = 0; r < 5; ++r) {
+    for (int c = 0; c < 6; ++c) {
+      if (c + 1 < 6) grid.push_back({r * 6 + c, r * 6 + c + 1});
+      if (r + 1 < 5) grid.push_back({r * 6 + c, (r + 1) * 6 + c});
+    }
+  }
+  shapes.push_back({"grid", MakeGraph(AlternatingAttrs(30), grid)});
+  shapes.push_back({"empty", MakeGraph("", {})});
+  // K_5 on vertices 3..7 of 12; the rest isolated.
+  std::vector<std::pair<int, int>> isolated;
+  for (int u = 3; u < 8; ++u) {
+    for (int v = u + 1; v < 8; ++v) isolated.push_back({u, v});
+  }
+  shapes.push_back({"isolated", MakeGraph(AlternatingAttrs(12), isolated)});
+  return shapes;
+}
+
 TEST(ColorfulSupportTest, SupportsMatchBruteForce) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     AttributedGraph g = RandomAttributedGraph(40, 0.25, seed);
@@ -117,6 +162,29 @@ TEST(ColorfulSupportTest, SupportsMatchBruteForce) {
     ASSERT_EQ(fast.size(), brute.size());
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       EXPECT_EQ(fast[e], brute[e]) << "edge " << e << " seed " << seed;
+    }
+  }
+  for (const auto& [name, g] : ShapeGraphs()) {
+    Coloring c = GreedyColoring(g);
+    std::vector<AttrCounts> fast = ComputeColorfulSupports(g, c);
+    std::vector<AttrCounts> brute = BruteSupports(g, c);
+    ASSERT_EQ(fast.size(), brute.size()) << name;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      EXPECT_EQ(fast[e], brute[e]) << "edge " << e << " of " << name;
+    }
+  }
+}
+
+TEST(ColorfulSupportTest, ShapesReachExactFixpoints) {
+  for (const auto& [name, g] : ShapeGraphs()) {
+    Coloring c = GreedyColoring(g);
+    for (int k = 2; k <= 5; ++k) {
+      EXPECT_EQ(ColorfulSupReduction(g, c, k).edge_alive,
+                BruteColorfulSupFixpoint(g, c, k))
+          << name << " k=" << k;
+      EXPECT_EQ(EnColorfulSupReduction(g, c, k).edge_alive,
+                BruteEnColorfulSupFixpoint(g, c, k))
+          << name << " k=" << k;
     }
   }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 
 #include "graph/graph.h"
@@ -209,6 +210,33 @@ TEST(TrianglesTest, CountMatchesBruteForce) {
     }
   }
   EXPECT_EQ(CountTriangles(g), brute);
+}
+
+TEST(TrianglesTest, ForEachTriangleListsEachOnceInIdOrder) {
+  AttributedGraph g = RandomAttributedGraph(30, 0.35, 78);
+  std::set<std::array<VertexId, 3>> seen;
+  ForEachTriangle(g, [&](EdgeId uv, EdgeId uw, EdgeId vw) {
+    const Edge& a = g.edges()[uv];
+    const Edge& b = g.edges()[uw];
+    const Edge& c = g.edges()[vw];
+    // u < v < w: uv = {u,v}, uw = {u,w}, vw = {v,w}.
+    EXPECT_EQ(a.u, b.u);
+    EXPECT_EQ(a.v, c.u);
+    EXPECT_EQ(b.v, c.v);
+    EXPECT_LT(a.v, b.v);
+    EXPECT_TRUE(seen.insert({a.u, a.v, b.v}).second) << "listed twice";
+  });
+  std::set<std::array<VertexId, 3>> brute;
+  for (VertexId a = 0; a < g.num_vertices(); ++a) {
+    for (VertexId b = a + 1; b < g.num_vertices(); ++b) {
+      for (VertexId c = b + 1; c < g.num_vertices(); ++c) {
+        if (g.HasEdge(a, b) && g.HasEdge(b, c) && g.HasEdge(a, c)) {
+          brute.insert({a, b, c});
+        }
+      }
+    }
+  }
+  EXPECT_EQ(seen, brute);
 }
 
 TEST(AttrCountsTest, Helpers) {

@@ -79,6 +79,33 @@ TEST(WireJsonTest, TypedAccessorsFallBackOnWrongType) {
 
 // ------------------------------------------------------------ serialization
 
+TEST(WireJsonTest, GetIntRejectsValuesNoIntCanHold) {
+  JsonObject obj;
+  std::string error;
+  ASSERT_TRUE(wire::ParseJsonObject(
+      R"({"big":1e11,"neg":-1,"frac":2.5,"inf":1e999,"s":"3","ok":7})", &obj,
+      &error))
+      << error;
+  int64_t out = 42;
+  // Out of range: 1e11 would be UB through static_cast<int>(double).
+  EXPECT_FALSE(wire::GetInt(obj, "big", 2, 1, 1 << 24, &out));
+  EXPECT_FALSE(wire::GetInt(obj, "neg", 2, 0, 100, &out));
+  EXPECT_FALSE(wire::GetInt(obj, "frac", 2, 1, 100, &out));
+  EXPECT_FALSE(wire::GetInt(obj, "inf", 2, 1, wire::kMaxExactJsonInt, &out));
+  EXPECT_FALSE(wire::GetInt(obj, "s", 2, 1, 100, &out));
+  EXPECT_EQ(out, 42) << "a rejected value must leave the output untouched";
+  // In range, including the inclusive bounds.
+  EXPECT_TRUE(wire::GetInt(obj, "ok", 2, 1, 100, &out));
+  EXPECT_EQ(out, 7);
+  EXPECT_TRUE(wire::GetInt(obj, "neg", 2, -1, 0, &out));
+  EXPECT_EQ(out, -1);
+  EXPECT_TRUE(wire::GetInt(obj, "big", 2, 0, wire::kMaxExactJsonInt, &out));
+  EXPECT_EQ(out, int64_t{100000000000});
+  // A missing key yields the fallback.
+  EXPECT_TRUE(wire::GetInt(obj, "missing", 2, 1, 100, &out));
+  EXPECT_EQ(out, 2);
+}
+
 TEST(WireJsonTest, EscapesControlCharacters) {
   EXPECT_EQ(wire::JsonEscape("plain"), "plain");
   EXPECT_EQ(wire::JsonEscape("a\"b\\c"), "a\\\"b\\\\c");

@@ -85,6 +85,7 @@
 // tests; this file is only the command loop.
 
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -120,6 +121,9 @@ using wire::GetNumber;
 using wire::GetString;
 using wire::JsonObject;
 using wire::JsonWriter;
+
+// Largest "scale" a dataset load accepts (pokec-s x64 is ~2.8M edges).
+constexpr int kMaxDatasetScale = 64;
 
 void PrintError(uint64_t id, const std::string& message) {
   std::printf("%s\n", wire::ErrorJson(id, message).c_str());
@@ -239,8 +243,10 @@ struct Server {
     if (name.empty()) return PrintError(id, "load: missing 'name'");
     Status status;
     if (obj.count("dataset") > 0) {
-      // Validate before LoadDataset: unknown names and non-positive scales
-      // are assertion failures in the library, not recoverable statuses.
+      // Validate before LoadDataset: unknown names and scales that are not
+      // finite and positive are assertion failures in the library, not
+      // recoverable statuses. Scales past kMaxDatasetScale would allocate
+      // without bound on one request.
       std::string dataset = GetString(obj, "dataset");
       double scale = GetNumber(obj, "scale", 1.0);
       bool known = false;
@@ -248,7 +254,10 @@ struct Server {
         if (spec.name == dataset) known = true;
       }
       if (!known) return PrintError(id, "load: unknown dataset " + dataset);
-      if (scale <= 0) return PrintError(id, "load: scale must be > 0");
+      if (!std::isfinite(scale) || scale <= 0 || scale > kMaxDatasetScale) {
+        return PrintError(id, "load: scale must be a finite number in (0, " +
+                                  std::to_string(kMaxDatasetScale) + "]");
+      }
       status = registry.Add(name, LoadDataset(dataset, scale),
                             "dataset:" + dataset);
     } else {

@@ -498,7 +498,8 @@ const char* SearchEngineName(SearchEngine engine) {
 }
 
 std::shared_ptr<const PreparedGraph> PrepareGraph(
-    const AttributedGraph& g, int k, const ReductionOptions& reductions) {
+    const AttributedGraph& g, int k, const ReductionOptions& reductions,
+    ParallelHelpers* helpers) {
   FC_CHECK(k >= 1) << "fairness parameter k must be >= 1";
   obs::ProfileScope profile_scope("PrepareGraph");
   WallTimer timer;
@@ -508,7 +509,8 @@ std::shared_ptr<const PreparedGraph> PrepareGraph(
   prepared->source_vertices = g.num_vertices();
   prepared->source_edges = g.num_edges();
 
-  ReductionPipelineResult reduced = ReduceForFairClique(g, k, reductions);
+  ReductionPipelineResult reduced =
+      ReduceForFairClique(g, k, reductions, helpers);
   prepared->reduced = std::move(reduced.reduced);
   prepared->original_ids = std::move(reduced.original_ids);
   prepared->stages = std::move(reduced.stages);

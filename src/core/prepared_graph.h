@@ -91,9 +91,11 @@ struct PreparedGraph {
 
 /// Stage 1+2: runs the reduction pipeline and decomposes the survivor into
 /// prepared components. Everything delta-dependent is deferred to the
-/// Branch stage.
+/// Branch stage. `helpers` is passed to ReduceForFairClique; the plan does
+/// not depend on it.
 std::shared_ptr<const PreparedGraph> PrepareGraph(
-    const AttributedGraph& g, int k, const ReductionOptions& reductions);
+    const AttributedGraph& g, int k, const ReductionOptions& reductions,
+    ParallelHelpers* helpers = nullptr);
 
 /// Delta-dependent incumbent seeding (the old stages 2/2b): optional
 /// HeurRFC on the reduced graph plus an optional caller-supplied warm

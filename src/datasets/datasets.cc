@@ -64,9 +64,14 @@ DatasetSpec DatasetByName(const std::string& name) {
 }
 
 AttributedGraph LoadDataset(const std::string& name, double scale) {
-  FC_CHECK(scale > 0) << "scale must be positive";
+  FC_CHECK(std::isfinite(scale) && scale > 0)
+      << "scale must be positive and finite";
   auto scaled = [scale](VertexId n) {
-    return static_cast<VertexId>(std::llround(n * scale));
+    const double count = std::round(n * scale);
+    FC_CHECK(count <= static_cast<double>(kInvalidVertex - 1))
+        << "scale " << scale << " makes " << count
+        << " vertices, more than a VertexId can number";
+    return static_cast<VertexId>(count);
   };
   // One fixed seed per dataset: stand-ins are deterministic artifacts, not
   // random draws.

@@ -163,7 +163,10 @@ void GraphBuilder::AddEdge(VertexId u, VertexId v) {
 AttributedGraph GraphBuilder::Build() const {
   auto store = std::make_shared<AttributedGraph::OwnedCsr>();
   store->edges = raw_edges_;
-  std::sort(store->edges.begin(), store->edges.end());
+  // FilteredSubgraph emits its edges already in order.
+  if (!std::is_sorted(store->edges.begin(), store->edges.end())) {
+    std::sort(store->edges.begin(), store->edges.end());
+  }
   store->edges.erase(std::unique(store->edges.begin(), store->edges.end()),
                      store->edges.end());
   store->attributes = attributes_;
@@ -183,15 +186,17 @@ AttributedGraph GraphBuilder::Build() const {
   store->offsets.assign(n + 1, 0);
   for (size_t v = 0; v < n; ++v) {
     store->offsets[v + 1] = store->offsets[v] + deg[v];
+    g.max_degree_ = std::max(g.max_degree_, deg[v]);
   }
   store->adjacency.resize(2 * store->edges.size());
   store->adjacency_edge_ids.resize(2 * store->edges.size());
 
   std::vector<uint64_t> cursor(store->offsets.begin(),
                                store->offsets.end() - 1);
-  // Edges are sorted by (u, v); filling forward keeps every row sorted for
-  // the u side. The v side receives u values in increasing u order, also
-  // sorted.
+  // Edges are sorted by (u, v) with u < v, so vertex x's row receives its
+  // smaller neighbors first (from the edges (u, x), in increasing u), then
+  // its larger ones (from the edges (x, v), in increasing v): every row is
+  // filled in sorted order.
   for (EdgeId e = 0; e < store->edges.size(); ++e) {
     const Edge& edge = store->edges[e];
     store->adjacency[cursor[edge.u]] = edge.v;
@@ -200,24 +205,6 @@ AttributedGraph GraphBuilder::Build() const {
     store->adjacency[cursor[edge.v]] = edge.u;
     store->adjacency_edge_ids[cursor[edge.v]] = e;
     cursor[edge.v]++;
-  }
-  // The v-side insertions interleave with u-side ones, so rows are not yet
-  // globally sorted; sort each row (pairing neighbor with edge id).
-  for (size_t v = 0; v < n; ++v) {
-    uint64_t begin = store->offsets[v];
-    uint64_t end = store->offsets[v + 1];
-    // Sort a permutation to keep neighbor/edge-id arrays parallel.
-    std::vector<std::pair<VertexId, EdgeId>> row;
-    row.reserve(end - begin);
-    for (uint64_t i = begin; i < end; ++i) {
-      row.emplace_back(store->adjacency[i], store->adjacency_edge_ids[i]);
-    }
-    std::sort(row.begin(), row.end());
-    for (uint64_t i = begin; i < end; ++i) {
-      store->adjacency[i] = row[i - begin].first;
-      store->adjacency_edge_ids[i] = row[i - begin].second;
-    }
-    g.max_degree_ = std::max(g.max_degree_, static_cast<uint32_t>(end - begin));
   }
   g.offsets_ = store->offsets;
   g.adjacency_ = store->adjacency;

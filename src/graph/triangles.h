@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel_for.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 
@@ -34,25 +35,52 @@ void ForEachCommonNeighbor(const AttributedGraph& g, VertexId u, VertexId v,
   }
 }
 
+/// A triangle {u, v, w} with u < v < w by vertex id, as its three edge ids.
+struct Triangle {
+  EdgeId uv;
+  EdgeId uw;
+  EdgeId vw;
+};
+
 /// The graph's edges directed from lower to higher (degree, id) rank, as
 /// out-rows of (head vertex, edge id). Every out-degree is at most
 /// O(sqrt(E)), and the sum over edges (u,v) of |out(v)| is O(alpha * E)
 /// (Chiba-Nishizeki 1985), which bounds the listing below.
 class DegreeOrientation {
  public:
-  explicit DegreeOrientation(const AttributedGraph& g);
+  /// Builds the out-rows, one vertex range per ParallelFor chunk (inline
+  /// below kParallelMinWork edges, as is ListTriangles).
+  explicit DegreeOrientation(const AttributedGraph& g,
+                             ParallelHelpers* helpers = nullptr);
 
   /// Calls `fn(e_uv, e_uw, e_vw)` once per triangle {u, v, w}, labelled so
   /// that u < v < w by vertex id. Mark-array forward listing (Schank-Wagner
   /// 2005): O(alpha * E) time, O(V) scratch.
   template <typename Fn>
-  void ForEachTriangle(Fn&& fn) const;
+  void ForEachTriangle(Fn&& fn) const {
+    ForEachTriangle(0, num_vertices(), std::forward<Fn>(fn));
+  }
+
+  /// Every triangle once, in ForEachTriangle order, in an exact-size array.
+  /// Each chunk of source vertices counts its triangles, then lists them
+  /// again at its offset, so the array does not depend on the helpers.
+  std::vector<Triangle> ListTriangles(ParallelHelpers* helpers = nullptr) const;
 
  private:
   struct Arc {
     VertexId head;
     EdgeId edge;
   };
+
+  VertexId num_vertices() const {
+    return static_cast<VertexId>(offsets_.size() - 1);
+  }
+
+  // The triangles whose lowest-ranked vertex (the listing source) lies in
+  // [begin, end), in source order.
+  template <typename Fn>
+  void ForEachTriangle(VertexId begin, VertexId end, Fn&& fn) const;
+
   std::vector<uint64_t> offsets_;  // size V+1
   std::vector<Arc> arcs_;          // size E, each row sorted by head id
 };
@@ -67,12 +95,13 @@ void ForEachTriangle(const AttributedGraph& g, Fn&& fn) {
 uint64_t CountTriangles(const AttributedGraph& g);
 
 template <typename Fn>
-void DegreeOrientation::ForEachTriangle(Fn&& fn) const {
-  const VertexId n = static_cast<VertexId>(offsets_.size() - 1);
+void DegreeOrientation::ForEachTriangle(VertexId begin, VertexId end,
+                                        Fn&& fn) const {
+  const VertexId n = num_vertices();
   // mark[w] = id of the edge {u, w} while w is an out-neighbor of the
   // current source u, kInvalidEdge otherwise.
   std::vector<EdgeId> mark(n, kInvalidEdge);
-  for (VertexId u = 0; u < n; ++u) {
+  for (VertexId u = begin; u < end; ++u) {
     const Arc* ubegin = arcs_.data() + offsets_[u];
     const Arc* uend = arcs_.data() + offsets_[u + 1];
     if (uend - ubegin < 2) continue;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/parallel_for.h"
 
 namespace fairclique {
 
@@ -15,6 +16,9 @@ struct ColorCountTable {
   std::vector<uint32_t> keys;    // concatenated per-vertex sorted key arrays
   std::vector<uint32_t> counts;  // parallel to keys
   std::vector<uint64_t> offsets; // size V+1
+
+  // Vertices per ParallelFor chunk of Build.
+  static constexpr size_t kGrain = 2048;
 
   static uint32_t MakeKey(ColorId color, Attribute attr) {
     return (static_cast<uint32_t>(color) << 1) | static_cast<uint32_t>(attr);
@@ -29,35 +33,58 @@ struct ColorCountTable {
     return static_cast<size_t>(it - keys.data());
   }
 
-  void Build(const AttributedGraph& g, const Coloring& coloring) {
+  // Two passes over the vertices, each split into chunks that own their
+  // vertices' slices: count the distinct keys of every row, then fill and
+  // sort only those keys. stamp[key] == v marks a key already seen in v's
+  // row, so neither pass clears anything between rows.
+  void Build(const AttributedGraph& g, const Coloring& coloring,
+             ParallelHelpers* helpers) {
+    helpers = HelpersForWork(helpers, g.num_edges());
     const VertexId n = g.num_vertices();
-    offsets.assign(n + 1, 0);
-    std::vector<uint32_t> scratch;
-    std::vector<uint32_t> scratch_counts;
-    keys.clear();
-    counts.clear();
-    keys.reserve(2 * g.num_edges());
-    counts.reserve(2 * g.num_edges());
-    for (VertexId v = 0; v < n; ++v) {
-      scratch.clear();
-      for (VertexId w : g.neighbors(v)) {
-        scratch.push_back(MakeKey(coloring.color[w], g.attribute(w)));
+    const size_t key_space = 2 * static_cast<size_t>(coloring.num_colors);
+    auto key_of = [&](VertexId w) {
+      return MakeKey(coloring.color[w], g.attribute(w));
+    };
+    // offsets[v + 1] first holds v's distinct-key count.
+    offsets.assign(static_cast<size_t>(n) + 1, 0);
+    ParallelFor(helpers, n, kGrain, [&](size_t begin, size_t end) {
+      std::vector<VertexId> stamp(key_space, kInvalidVertex);
+      for (VertexId v = begin; v < end; ++v) {
+        uint64_t distinct = 0;
+        for (VertexId w : g.neighbors(v)) {
+          const uint32_t key = key_of(w);
+          if (stamp[key] != v) {
+            stamp[key] = v;
+            ++distinct;
+          }
+        }
+        offsets[v + 1] = distinct;
       }
-      std::sort(scratch.begin(), scratch.end());
-      scratch_counts.clear();
-      size_t out = 0;
-      for (size_t i = 0; i < scratch.size();) {
-        size_t j = i;
-        while (j < scratch.size() && scratch[j] == scratch[i]) ++j;
-        scratch[out] = scratch[i];
-        scratch_counts.push_back(static_cast<uint32_t>(j - i));
-        ++out;
-        i = j;
+    });
+    for (VertexId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+    keys.resize(offsets[n]);
+    counts.resize(offsets[n]);
+    ParallelFor(helpers, n, kGrain, [&](size_t begin, size_t end) {
+      std::vector<VertexId> stamp(key_space, kInvalidVertex);
+      std::vector<uint32_t> count(key_space);
+      for (VertexId v = begin; v < end; ++v) {
+        uint32_t* row = keys.data() + offsets[v];
+        size_t distinct = 0;
+        for (VertexId w : g.neighbors(v)) {
+          const uint32_t key = key_of(w);
+          if (stamp[key] != v) {
+            stamp[key] = v;
+            count[key] = 0;
+            row[distinct++] = key;
+          }
+          ++count[key];
+        }
+        std::sort(row, row + distinct);
+        for (size_t i = 0; i < distinct; ++i) {
+          counts[offsets[v] + i] = count[row[i]];
+        }
       }
-      keys.insert(keys.end(), scratch.begin(), scratch.begin() + out);
-      counts.insert(counts.end(), scratch_counts.begin(), scratch_counts.end());
-      offsets[v + 1] = keys.size();
-    }
+    });
   }
 };
 
@@ -76,7 +103,7 @@ VertexReductionResult ColorfulCore(const AttributedGraph& g,
   }
 
   ColorCountTable table;
-  table.Build(g, coloring);
+  table.Build(g, coloring, nullptr);
   // Distinct-color degree per attribute.
   std::vector<AttrCounts> d(n);
   for (VertexId v = 0; v < n; ++v) {
@@ -120,7 +147,8 @@ VertexReductionResult ColorfulCore(const AttributedGraph& g,
 }
 
 VertexReductionResult EnColorfulCore(const AttributedGraph& g,
-                                     const Coloring& coloring, int k) {
+                                     const Coloring& coloring, int k,
+                                     ParallelHelpers* helpers) {
   const VertexId n = g.num_vertices();
   VertexReductionResult result;
   result.alive.assign(n, 1);
@@ -131,7 +159,7 @@ VertexReductionResult EnColorfulCore(const AttributedGraph& g,
   }
 
   ColorCountTable table;
-  table.Build(g, coloring);
+  table.Build(g, coloring, helpers);
   // Per-vertex color-class sizes: ca (a-only colors), cb (b-only), cm (mixed).
   struct Classes {
     int64_t ca = 0, cb = 0, cm = 0;
@@ -224,7 +252,7 @@ ColorfulCoreDecomposition ComputeColorfulCores(const AttributedGraph& g,
   if (n == 0) return result;
 
   ColorCountTable table;
-  table.Build(g, coloring);
+  table.Build(g, coloring, nullptr);
   std::vector<AttrCounts> d(n);
   for (VertexId v = 0; v < n; ++v) {
     for (uint64_t i = table.offsets[v]; i < table.offsets[v + 1]; ++i) {

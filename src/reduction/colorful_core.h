@@ -10,6 +10,8 @@
 
 namespace fairclique {
 
+class ParallelHelpers;
+
 /// Result of a vertex-peeling reduction: per-vertex alive flags plus summary
 /// counts of the surviving subgraph.
 struct VertexReductionResult {
@@ -33,9 +35,12 @@ VertexReductionResult ColorfulCore(const AttributedGraph& g,
 /// assigned exclusively to one attribute; a vertex survives while its
 /// enhanced colorful degree ED(u) = max_x min(ca+x, cb+cm-x) >= k (see
 /// EnhancedColorfulDegrees). By Lemma 2 fair cliques live in the enhanced
-/// colorful (k-1)-core.
+/// colorful (k-1)-core. `helpers` (common/parallel_for.h) may build the
+/// color maps; the peel is serial, and the result does not depend on the
+/// helpers.
 VertexReductionResult EnColorfulCore(const AttributedGraph& g,
-                                     const Coloring& coloring, int k);
+                                     const Coloring& coloring, int k,
+                                     ParallelHelpers* helpers = nullptr);
 
 /// Full colorful core decomposition: colorful core number ccore(v) =
 /// largest k such that v survives in the colorful k-core (Definition 8), the

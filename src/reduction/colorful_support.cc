@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "graph/triangles.h"
 
 namespace fairclique {
@@ -39,82 +40,64 @@ class TriangleIndex {
            static_cast<uint32_t>(g_.attribute(w));
   }
 
-  // Lists the triangles of `g` once: a count pass, then a fill pass
-  // straight into the per-edge slots. The slots are unsorted until
-  // SortIntoRuns.
-  TriangleIndex(const AttributedGraph& g, const Coloring& coloring)
+  // Lists the triangles of `g` once into an array, frees the orientation,
+  // then counts and fills the per-edge slots from the array. The slots are
+  // unsorted until SortIntoRuns. The passes after the listing share work
+  // when the graph has kParallelMinWork edges or triangles: a dense core
+  // can have few edges but many triangles.
+  TriangleIndex(const AttributedGraph& g, const Coloring& coloring,
+                ParallelHelpers* helpers)
       : g_(g), coloring_(coloring) {
     const EdgeId m = g.num_edges();
+    const std::vector<Triangle> triangles =
+        DegreeOrientation(g, helpers).ListTriangles(helpers);
+    helpers_ =
+        HelpersForWork(helpers, std::max<uint64_t>(m, triangles.size()));
+    // Edge-range ownership: every chunk scans the whole array and touches
+    // only its own edges' counters and slots. No atomics are needed, and
+    // each edge's slots keep the listing order whatever the chunking, so
+    // the serial form is a single chunk.
+    const size_t grain =
+        helpers_ == nullptr ? m : (m + kOwnerRanges - 1) / kOwnerRanges;
+    auto for_owned = [&triangles](size_t begin, size_t end, auto&& visit) {
+      auto owned = [begin, end](EdgeId e) { return e >= begin && e < end; };
+      for (const Triangle& t : triangles) {
+        if (owned(t.uv)) visit(t.uv, Slot{t.uw, t.vw});
+        if (owned(t.uw)) visit(t.uw, Slot{t.uv, t.vw});
+        if (owned(t.vw)) visit(t.vw, Slot{t.uv, t.uw});
+      }
+    };
     offsets_.assign(static_cast<size_t>(m) + 1, 0);
-    DegreeOrientation orientation(g);
-    orientation.ForEachTriangle([this](EdgeId uv, EdgeId uw, EdgeId vw) {
-      ++offsets_[uv + 1];
-      ++offsets_[uw + 1];
-      ++offsets_[vw + 1];
+    ParallelFor(helpers_, m, grain, [&](size_t begin, size_t end) {
+      for_owned(begin, end, [this](EdgeId e, Slot) { ++offsets_[e + 1]; });
     });
     for (EdgeId e = 0; e < m; ++e) offsets_[e + 1] += offsets_[e];
     // offsets_[e] serves as edge e's write cursor; afterwards it holds the
     // end of e's slots and is shifted back into place.
     slots_.resize(offsets_[m]);
-    orientation.ForEachTriangle([this](EdgeId uv, EdgeId uw, EdgeId vw) {
-      slots_[offsets_[uv]++] = {uw, vw};
-      slots_[offsets_[uw]++] = {uv, vw};
-      slots_[offsets_[vw]++] = {uv, uw};
+    ParallelFor(helpers_, m, grain, [&](size_t begin, size_t end) {
+      for_owned(begin, end,
+                [this](EdgeId e, Slot s) { slots_[offsets_[e]++] = s; });
     });
     for (EdgeId e = m; e > 0; --e) offsets_[e] = offsets_[e - 1];
     offsets_[0] = 0;
   }
 
   // Sorts each edge's slots into runs and reports every edge's initial
-  // color classes through `on_edge(e, classes)`. Callers allocate their
-  // per-edge state after the constructor, once the orientation is freed,
-  // so the two never coexist.
+  // color classes through `on_edge(e, classes)`, which may run on several
+  // threads at once and must write only edge e's state. Callers allocate
+  // their per-edge state after the constructor, once the orientation and
+  // the triangle array are freed, so they never coexist.
   template <typename EdgeFn>
   void SortIntoRuns(EdgeFn&& on_edge) {
-    const EdgeId m = g_.num_edges();
     flags_.resize(slots_.size());
-    struct Keyed {
-      uint64_t order;  // (key << 32) | first: a total order within an edge
-      EdgeId second;
-    };
-    std::vector<Keyed> scratch;
-    for (EdgeId e = 0; e < m; ++e) {
-      const uint64_t begin = offsets_[e];
-      const uint64_t end = offsets_[e + 1];
-      const VertexId u = g_.edges()[e].u;
-      scratch.clear();
-      for (uint64_t i = begin; i < end; ++i) {
-        scratch.push_back(
-            {(static_cast<uint64_t>(KeyAt(u, i)) << 32) | slots_[i].first,
-             slots_[i].second});
-      }
-      std::sort(scratch.begin(), scratch.end(),
-                [](const Keyed& x, const Keyed& y) {
-                  return x.order < y.order;
+    ParallelFor(helpers_, g_.num_edges(), kSortGrain,
+                [&](size_t begin, size_t end) {
+                  std::vector<Keyed> scratch;
+                  for (EdgeId e = begin; e < end; ++e) {
+                    on_edge(e, SortEdge(e, scratch));
+                  }
                 });
-      auto key_of = [&scratch](size_t j) {
-        return static_cast<uint32_t>(scratch[j].order >> 32);
-      };
-      ColorClasses classes;
-      for (size_t j = 0; j < scratch.size(); ++j) {
-        const uint32_t key = key_of(j);
-        slots_[begin + j] = {static_cast<EdgeId>(scratch[j].order),
-                             scratch[j].second};
-        const bool head = j == 0 || key_of(j - 1) != key;
-        flags_[begin + j] = kAlive | (head ? kRunHead : 0);
-        if (!head) continue;
-        // (c, b) directly follows (c, a) when color c is mixed.
-        if ((key & 1) == 0) {
-          classes.a_only++;
-        } else if (j > 0 && key_of(j - 1) == (key ^ 1)) {
-          classes.a_only--;
-          classes.mixed++;
-        } else {
-          classes.b_only++;
-        }
-      }
-      on_edge(e, classes);
-    }
   }
 
   uint64_t begin(EdgeId e) const { return offsets_[e]; }
@@ -158,6 +141,53 @@ class TriangleIndex {
  private:
   static constexpr uint8_t kAlive = 1;
   static constexpr uint8_t kRunHead = 2;
+  // Edge ranges of the slot count and fill passes when helpers are present.
+  static constexpr size_t kOwnerRanges = 3;
+  // Edges per ParallelFor chunk of SortIntoRuns.
+  static constexpr size_t kSortGrain = 8192;
+
+  struct Keyed {
+    uint64_t order;  // (key << 32) | first: a total order within an edge
+    EdgeId second;
+  };
+
+  // Sorts edge e's slots into runs, sets their flags and returns e's color
+  // classes. `scratch` is reused across the edges of one chunk.
+  ColorClasses SortEdge(EdgeId e, std::vector<Keyed>& scratch) {
+    const uint64_t begin = offsets_[e];
+    const uint64_t end = offsets_[e + 1];
+    const VertexId u = g_.edges()[e].u;
+    scratch.clear();
+    for (uint64_t i = begin; i < end; ++i) {
+      scratch.push_back(
+          {(static_cast<uint64_t>(KeyAt(u, i)) << 32) | slots_[i].first,
+           slots_[i].second});
+    }
+    std::sort(scratch.begin(), scratch.end(),
+              [](const Keyed& x, const Keyed& y) { return x.order < y.order; });
+    auto key_of = [&scratch](size_t j) {
+      return static_cast<uint32_t>(scratch[j].order >> 32);
+    };
+    ColorClasses classes;
+    for (size_t j = 0; j < scratch.size(); ++j) {
+      const uint32_t key = key_of(j);
+      slots_[begin + j] = {static_cast<EdgeId>(scratch[j].order),
+                           scratch[j].second};
+      const bool head = j == 0 || key_of(j - 1) != key;
+      flags_[begin + j] = kAlive | (head ? kRunHead : 0);
+      if (!head) continue;
+      // (c, b) directly follows (c, a) when color c is mixed.
+      if ((key & 1) == 0) {
+        classes.a_only++;
+      } else if (j > 0 && key_of(j - 1) == (key ^ 1)) {
+        classes.a_only--;
+        classes.mixed++;
+      } else {
+        classes.b_only++;
+      }
+    }
+    return classes;
+  }
 
   // Key of slot i of an edge whose smaller endpoint is u: the third vertex
   // is the far end of the side edge {u, w}.
@@ -184,6 +214,7 @@ class TriangleIndex {
 
   const AttributedGraph& g_;
   const Coloring& coloring_;
+  ParallelHelpers* helpers_;  // null when the index is too small to share
   std::vector<uint64_t> offsets_;  // size E+1
   std::vector<Slot> slots_;        // 3 per triangle
   std::vector<uint8_t> flags_;     // kAlive | kRunHead, parallel to slots_
@@ -260,7 +291,7 @@ EdgeReductionResult PeelEdges(const AttributedGraph& g, TriangleIndex& index,
 
 std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
                                                 const Coloring& coloring) {
-  TriangleIndex index(g, coloring);
+  TriangleIndex index(g, coloring, nullptr);
   std::vector<AttrCounts> sup(g.num_edges());
   index.SortIntoRuns([&sup](EdgeId e, ColorClasses c) {
     sup[e][Attribute::kA] = c.a_only + c.mixed;
@@ -270,7 +301,8 @@ std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
 }
 
 EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
-                                         const Coloring& coloring, int k) {
+                                         const Coloring& coloring, int k,
+                                         ParallelHelpers* helpers) {
   struct Policy {
     const AttributedGraph& g;
     int k;
@@ -286,7 +318,7 @@ EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
     // sup_x by one.
     void OnRunEmptied(EdgeId f, uint32_t key) { sup[2 * f + (key & 1)]--; }
   };
-  TriangleIndex index(g, coloring);
+  TriangleIndex index(g, coloring, helpers);
   Policy policy{g, k,
                 std::vector<int32_t>(2 * static_cast<size_t>(g.num_edges()))};
   index.SortIntoRuns([&policy](EdgeId e, ColorClasses c) {
@@ -310,7 +342,8 @@ AttrCounts GreedyEnhancedSupport(int64_t ca, int64_t cb, int64_t cm,
 }
 
 EdgeReductionResult EnColorfulSupReduction(const AttributedGraph& g,
-                                           const Coloring& coloring, int k) {
+                                           const Coloring& coloring, int k,
+                                           ParallelHelpers* helpers) {
   struct Policy {
     const AttributedGraph& g;
     int k;
@@ -340,7 +373,7 @@ EdgeReductionResult EnColorfulSupReduction(const AttributedGraph& g,
       }
     }
   };
-  TriangleIndex index(g, coloring);
+  TriangleIndex index(g, coloring, helpers);
   Policy policy{g, k, std::vector<ColorClasses>(g.num_edges()), &index};
   index.SortIntoRuns([&policy](EdgeId e, ColorClasses c) {
     policy.cls[e] = c;

@@ -10,6 +10,8 @@
 
 namespace fairclique {
 
+class ParallelHelpers;
+
 /// Result of an edge-peeling (truss-style) reduction: flags per edge and per
 /// vertex (a vertex dies when all its edges die) plus summary counts.
 struct EdgeReductionResult {
@@ -41,8 +43,13 @@ std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
 /// walks only its own slots. Time O(alpha * E + T), where T is the number
 /// of triangles, plus, per support decrement, a binary search over the side
 /// edge's slots and a scan of one run. Space O(E + T) slots.
+///
+/// `helpers` (common/parallel_for.h) may run the index build's passes: the
+/// orientation rows, the triangle listing, the slot count and fill, and the
+/// run sort. The peel is serial. The result does not depend on the helpers.
 EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
-                                         const Coloring& coloring, int k);
+                                         const Coloring& coloring, int k,
+                                         ParallelHelpers* helpers = nullptr);
 
 /// Enhanced colorful support reduction (Definition 7 / Lemma 4): like
 /// ColorfulSup, but colors of the common neighborhood are partitioned into
@@ -50,9 +57,10 @@ EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
 /// one attribute. An edge with endpoint-attribute thresholds (ta, tb)
 /// survives iff  max(0, ta-ca) + max(0, tb-cb) <= cm  (the greedy assignment
 /// of Definition 7 succeeds exactly in this case). Strictly stronger than
-/// ColorfulSup. Same index and bounds as ColorfulSupReduction.
+/// ColorfulSup. Same index, bounds and helpers as ColorfulSupReduction.
 EdgeReductionResult EnColorfulSupReduction(const AttributedGraph& g,
-                                           const Coloring& coloring, int k);
+                                           const Coloring& coloring, int k,
+                                           ParallelHelpers* helpers = nullptr);
 
 /// Greedy mixed-color assignment of Definition 7, exposed for tests: given
 /// class sizes and thresholds, returns the per-attribute enhanced colorful

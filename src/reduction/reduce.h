@@ -10,6 +10,8 @@
 
 namespace fairclique {
 
+class ParallelHelpers;
+
 /// Which reduction stages the pipeline runs, in the paper's order
 /// (Algorithm 2 lines 1-3). Each stage can be toggled for ablation.
 struct ReductionOptions {
@@ -39,8 +41,15 @@ struct ReductionPipelineResult {
 /// `options`), recoloring the shrinking graph before each stage. Every
 /// relative fair clique with parameters (k, *) of `g` survives in the result
 /// (Lemmas 2-4); reductions are independent of delta.
+///
+/// `helpers` (common/parallel_for.h) may run the stages' data-parallel
+/// passes (color maps, triangle index build, run sort) that walk at least
+/// kParallelMinWork edges or triangles. Coloring, the peels and the
+/// subgraph copies stay on the caller. The result does not depend on the
+/// helpers.
 ReductionPipelineResult ReduceForFairClique(const AttributedGraph& g, int k,
-                                            const ReductionOptions& options);
+                                            const ReductionOptions& options,
+                                            ParallelHelpers* helpers = nullptr);
 
 }  // namespace fairclique
 

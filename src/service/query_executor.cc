@@ -271,7 +271,7 @@ bool QueryExecutor::PreSearch(QueryState& qs) {
         prepared_key, request.graph->fingerprint,
         [&] {
           return PrepareGraph(*request.graph->graph, qs.effective.params.k,
-                              qs.effective.reductions);
+                              qs.effective.reductions, this);
         },
         &built);
     if (built) {
@@ -284,7 +284,7 @@ bool QueryExecutor::PreSearch(QueryState& qs) {
   } else {
     WallTimer prepare_timer;
     qs.prepared = PrepareGraph(*request.graph->graph, qs.effective.params.k,
-                               qs.effective.reductions);
+                               qs.effective.reductions, this);
     qs.prepare_micros = prepare_timer.ElapsedMicros();
     prepared_builds_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -614,19 +614,43 @@ void QueryExecutor::Shutdown() {
   workers_.clear();
 }
 
+void QueryExecutor::Offer(const std::shared_ptr<ParallelJob>& job,
+                          size_t max_helpers) {
+  fc::MutexLock lock(mu_);
+  if (stopping_) return;
+  // Idle workers already handed an assist entry have not woken yet.
+  const size_t free_workers = idle_workers_ > assist_queue_.size()
+                                  ? idle_workers_ - assist_queue_.size()
+                                  : 0;
+  const size_t count = std::min(free_workers, max_helpers);
+  for (size_t i = 0; i < count; ++i) {
+    assist_queue_.push_back(job);
+    work_ready_.NotifyOne();
+  }
+}
+
 void QueryExecutor::WorkerLoop() {
   while (true) {
+    std::shared_ptr<ParallelJob> assist;
     ComponentTask task;
     Pending pending;
-    enum class Work { kNone, kComponent, kQuery } work = Work::kNone;
+    enum class Work { kNone, kAssist, kComponent, kQuery } work = Work::kNone;
     {
       fc::MutexLock lock(mu_);
-      while (!stopping_ && component_queue_.empty() && queue_.empty()) {
+      while (!stopping_ && assist_queue_.empty() && component_queue_.empty() &&
+             queue_.empty()) {
+        ++idle_workers_;
         work_ready_.Wait(lock);
+        --idle_workers_;
       }
-      // Component tasks first: finishing in-flight queries beats admitting
-      // new ones (and is what frees their memory).
-      if (!component_queue_.empty()) {
+      // Assists first: a query on another worker is waiting on them. Then
+      // component tasks: finishing in-flight queries beats admitting new
+      // ones (and is what frees their memory).
+      if (!assist_queue_.empty()) {
+        assist = std::move(assist_queue_.front());
+        assist_queue_.pop_front();
+        work = Work::kAssist;
+      } else if (!component_queue_.empty()) {
         task = std::move(component_queue_.front());
         component_queue_.pop_front();
         work = Work::kComponent;
@@ -635,11 +659,13 @@ void QueryExecutor::WorkerLoop() {
         queue_.pop_front();
         work = Work::kQuery;
       } else {
-        return;  // stopping_ && both queues drained
+        return;  // stopping_ && every queue drained
       }
     }
     active_workers_.fetch_add(1, std::memory_order_relaxed);
-    if (work == Work::kComponent) {
+    if (work == Work::kAssist) {
+      assist->Help();
+    } else if (work == Work::kComponent) {
       if (RunBranchTask(*task.query, task.slot)) FinalizeQuery(*task.query);
     } else {
       auto qs = std::make_shared<QueryState>();

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel_for.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/timer.h"
@@ -158,12 +159,19 @@ struct ExecutorMetrics {
 /// share the BranchStage's atomic incumbent-size floor, so answers are
 /// identical to a sequential search.
 ///
+/// Workers that are idle while a query reduces lend a hand with the
+/// reduction's data-parallel passes: the executor is the ParallelHelpers of
+/// every PrepareGraph it runs. Offer queues "assist" entries that workers
+/// take before component tasks and admissions, at most one per worker idle
+/// at that moment. They are not component tasks and do not count in any
+/// queue depth.
+///
 /// The executor owns its worker threads; the result cache and prepared-plan
 /// cache are optional, shared, and owned by the caller (pass nullptr to
 /// serve without them). The destructor drains outstanding accepted requests
 /// before joining, so every future obtained from Submit is eventually
 /// satisfied.
-class QueryExecutor {
+class QueryExecutor : public ParallelHelpers {
  public:
   explicit QueryExecutor(const ExecutorOptions& options,
                          ResultCache* cache = nullptr,
@@ -193,6 +201,11 @@ class QueryExecutor {
   void Shutdown();
 
   ExecutorMetrics metrics() const;
+
+  /// ParallelHelpers: queues min(max_helpers, idle workers not yet handed
+  /// an assist) entries for `job`. A no-op once shutdown has begun.
+  void Offer(const std::shared_ptr<ParallelJob>& job,
+             size_t max_helpers) override;
 
  private:
   /// Everything one query carries from admission to response. Shared by the
@@ -266,7 +279,8 @@ class QueryExecutor {
   //   workers take them only while NOT holding mu_):
   //     ResultCache::mu_, PreparedGraphCache::mu_,
   //     GraphRegistry::{swap_mu_, mu_}, StorageManager::{map_mu_, stripe
-  //     mu, manifest_mu_}, obs::* registries
+  //     mu, manifest_mu_}, obs::* registries, ParallelJob::mu_ (Offer
+  //     queues a job under mu_ without touching the job's own lock)
   //
   // Workers pop work under mu_, then RELEASE it before running the query
   // pipeline, so no cache/registry/storage lock is ever acquired under
@@ -280,6 +294,10 @@ class QueryExecutor {
   fc::CondVar idle_;
   std::deque<Pending> queue_ GUARDED_BY(mu_);
   std::deque<ComponentTask> component_queue_ GUARDED_BY(mu_);
+  /// ParallelFor jobs offered to idle workers; taken before everything else.
+  std::deque<std::shared_ptr<ParallelJob>> assist_queue_ GUARDED_BY(mu_);
+  /// Workers blocked on work_ready_ right now.
+  size_t idle_workers_ GUARDED_BY(mu_) = 0;
   /// Accepted queries not yet answered (queued, expanding, or branching).
   size_t inflight_ GUARDED_BY(mu_) = 0;
   /// High-water mark of queue_.size() + component_queue_.size(); bumped

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/heuristics.h"
 #include "datasets/datasets.h"
 #include "graph/cores.h"
@@ -27,6 +29,15 @@ TEST(DatasetsTest, DatasetByNameRoundTrips) {
   for (const DatasetSpec& spec : StandardDatasets()) {
     EXPECT_EQ(DatasetByName(spec.name).name, spec.name);
   }
+}
+
+TEST(DatasetsDeathTest, ScalesPastVertexIdAbort) {
+  // 5000 * 1e9 vertices do not fit a VertexId: abort before allocating.
+  EXPECT_DEATH(LoadDataset("dblp-s", 1e9), "more than a VertexId");
+  EXPECT_DEATH(LoadDataset("dblp-s", std::numeric_limits<double>::infinity()),
+               "positive and finite");
+  EXPECT_DEATH(LoadDataset("dblp-s", std::numeric_limits<double>::quiet_NaN()),
+               "positive and finite");
 }
 
 class DatasetLoadTest : public ::testing::TestWithParam<const char*> {};

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "graph/graph.h"
 #include "graph/triangles.h"
@@ -146,6 +148,73 @@ TEST(FilteredSubgraphTest, DropsDeadVerticesAndEdges) {
   EXPECT_EQ(sub.num_edges(), 2u);  // 0-1, 1-2 survive; 0-2 dropped; 3 dead.
   EXPECT_EQ(original, (std::vector<VertexId>{0, 1, 2}));
   EXPECT_TRUE(sub.Validate().ok());
+}
+
+TEST(GraphBuilderTest, ShuffledDuplicatedEdgesBuildTheSortedGraph) {
+  // The same edge set fed sorted, and shuffled with both orientations and
+  // duplicates, must build the identical valid graph.
+  AttributedGraph g = RandomAttributedGraph(300, 0.05, 11);
+  std::vector<Edge> input;
+  for (const Edge& e : g.edges()) {
+    input.push_back(e);
+    input.push_back({e.v, e.u});
+    if (e.u % 3 == 0) input.push_back(e);
+  }
+  std::mt19937 shuffle_rng(7);
+  std::shuffle(input.begin(), input.end(), shuffle_rng);
+  GraphBuilder builder(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    builder.SetAttribute(v, g.attribute(v));
+  }
+  for (const Edge& e : input) builder.AddEdge(e.u, e.v);
+  AttributedGraph rebuilt = builder.Build();
+  ASSERT_TRUE(rebuilt.Validate().ok()) << rebuilt.Validate().ToString();
+  EXPECT_EQ(testing_util::EdgesOf(rebuilt), testing_util::EdgesOf(g));
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(rebuilt.neighbors(v), g.neighbors(v)));
+    ASSERT_TRUE(std::ranges::equal(rebuilt.edge_ids(v), g.edge_ids(v)));
+  }
+  EXPECT_EQ(rebuilt.max_degree(), g.max_degree());
+}
+
+TEST(FilteredSubgraphTest, EqualsAnIndependentlyBuiltGraph) {
+  AttributedGraph g = RandomAttributedGraph(200, 0.08, 5);
+  std::vector<uint8_t> valive(g.num_vertices());
+  std::vector<uint8_t> ealive(g.num_edges());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) valive[v] = v % 5 != 0;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) ealive[e] = e % 4 != 1;
+  std::vector<VertexId> original;
+  AttributedGraph sub = g.FilteredSubgraph(valive, ealive, &original);
+  ASSERT_TRUE(sub.Validate().ok());
+
+  // Reference: map the surviving edges by hand, in reverse order, through
+  // a fresh builder (which then has to sort them).
+  std::vector<VertexId> local(g.num_vertices(), kInvalidVertex);
+  std::vector<VertexId> kept;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (valive[v]) {
+      local[v] = static_cast<VertexId>(kept.size());
+      kept.push_back(v);
+    }
+  }
+  GraphBuilder builder(static_cast<VertexId>(kept.size()));
+  for (size_t i = 0; i < kept.size(); ++i) {
+    builder.SetAttribute(static_cast<VertexId>(i), g.attribute(kept[i]));
+  }
+  for (EdgeId e = g.num_edges(); e-- > 0;) {
+    const Edge& edge = g.edges()[e];
+    if (ealive[e] && valive[edge.u] && valive[edge.v]) {
+      builder.AddEdge(local[edge.v], local[edge.u]);
+    }
+  }
+  AttributedGraph reference = builder.Build();
+  EXPECT_EQ(original, kept);
+  EXPECT_EQ(testing_util::EdgesOf(sub), testing_util::EdgesOf(reference));
+  for (VertexId v = 0; v < sub.num_vertices(); ++v) {
+    EXPECT_EQ(sub.attribute(v), reference.attribute(v));
+    ASSERT_TRUE(std::ranges::equal(sub.neighbors(v), reference.neighbors(v)));
+    ASSERT_TRUE(std::ranges::equal(sub.edge_ids(v), reference.edge_ids(v)));
+  }
 }
 
 TEST(ConnectedComponentsTest, SplitsDisjointTriangles) {

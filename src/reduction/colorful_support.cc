@@ -20,13 +20,22 @@ struct ColorClasses {
   int32_t mixed = 0;
 };
 
+// What SortIntoRuns reports for one edge: its color classes and how many of
+// its slots have a third vertex of attribute a and of attribute b.
+struct EdgeRuns {
+  ColorClasses classes;
+  int32_t slots[2] = {0, 0};
+};
+
 // Per-stage triangle index: every edge e = {u, v} (u < v) owns one slot per
-// triangle {u, v, w} on it, holding the side edges ({u,w}, {v,w}). An edge's
-// slots are sorted by the key (color(w) << 1) | attr(w), so a run of equal
-// keys is exactly the paper's M_e(attr, color) entry (Algorithm 1) and its
-// count is the number of alive slots in the run. Runs are delimited by a
-// head flag; keys are not stored but recomputed from the side edge, which
-// keeps the index at 9 bytes per slot.
+// triangle {u, v, w} on it, holding the side edges ({u,w}, {v,w}). The slots
+// start in listing order, which is all a count peel needs; Compact may then
+// drop the triangles of dead edges. SortIntoRuns sorts an edge's slots by
+// the key (color(w) << 1) | attr(w), so a run of equal keys is exactly the
+// paper's M_e(attr, color) entry (Algorithm 1) and its count is the number
+// of alive slots in the run. Runs are delimited by a head flag; keys are not
+// stored but recomputed from the side edge, which keeps the index at 9 bytes
+// per slot.
 class TriangleIndex {
  public:
   struct Slot {
@@ -83,11 +92,52 @@ class TriangleIndex {
     offsets_[0] = 0;
   }
 
+  // Counts each edge's slots by the attribute of their third vertex into
+  // tally[2e + attr], which must be zero on entry. The count pass of
+  // ColorfulSupReduction: no keys, no sort.
+  void CountByAttribute(std::vector<int32_t>& tally) const {
+    ParallelFor(helpers_, g_.num_edges(), kSortGrain,
+                [&](size_t begin, size_t end) {
+                  for (EdgeId e = begin; e < end; ++e) {
+                    const VertexId u = g_.edges()[e].u;
+                    for (uint64_t i = offsets_[e]; i < offsets_[e + 1]; ++i) {
+                      tally[2 * e +
+                            static_cast<size_t>(g_.attribute(ThirdAt(u, i)))]++;
+                    }
+                  }
+                });
+  }
+
+  // Keeps only the slots of triangles whose three edges are all alive,
+  // moved down in edge order, so a dead edge keeps no slots. The slot array
+  // is resized, not reallocated; call before SortIntoRuns, which sizes the
+  // flags to the survivors.
+  void Compact(const std::vector<uint8_t>& alive) {
+    const EdgeId m = g_.num_edges();
+    uint64_t out = 0;
+    for (EdgeId e = 0; e < m; ++e) {
+      // offsets_[e + 1] is still e's old end: it is rewritten only when
+      // edge e + 1 is reached.
+      const uint64_t begin = offsets_[e];
+      const uint64_t end = offsets_[e + 1];
+      offsets_[e] = out;
+      if (!alive[e]) continue;
+      for (uint64_t i = begin; i < end; ++i) {
+        if (alive[slots_[i].first] && alive[slots_[i].second]) {
+          slots_[out++] = slots_[i];
+        }
+      }
+    }
+    offsets_[m] = out;
+    slots_.resize(out);
+  }
+
   // Sorts each edge's slots into runs and reports every edge's initial
-  // color classes through `on_edge(e, classes)`, which may run on several
-  // threads at once and must write only edge e's state. Callers allocate
-  // their per-edge state after the constructor, once the orientation and
-  // the triangle array are freed, so they never coexist.
+  // color classes and per-attribute slot counts through `on_edge(e, runs)`,
+  // which may run on several threads at once and must write only edge e's
+  // state. Callers allocate their per-edge state after the constructor,
+  // once the orientation and the triangle array are freed, so they never
+  // coexist.
   template <typename EdgeFn>
   void SortIntoRuns(EdgeFn&& on_edge) {
     flags_.resize(slots_.size());
@@ -152,8 +202,9 @@ class TriangleIndex {
   };
 
   // Sorts edge e's slots into runs, sets their flags and returns e's color
-  // classes. `scratch` is reused across the edges of one chunk.
-  ColorClasses SortEdge(EdgeId e, std::vector<Keyed>& scratch) {
+  // classes and slot counts. `scratch` is reused across the edges of one
+  // chunk.
+  EdgeRuns SortEdge(EdgeId e, std::vector<Keyed>& scratch) {
     const uint64_t begin = offsets_[e];
     const uint64_t end = offsets_[e + 1];
     const VertexId u = g_.edges()[e].u;
@@ -168,11 +219,13 @@ class TriangleIndex {
     auto key_of = [&scratch](size_t j) {
       return static_cast<uint32_t>(scratch[j].order >> 32);
     };
-    ColorClasses classes;
+    EdgeRuns runs;
+    ColorClasses& classes = runs.classes;
     for (size_t j = 0; j < scratch.size(); ++j) {
       const uint32_t key = key_of(j);
       slots_[begin + j] = {static_cast<EdgeId>(scratch[j].order),
                            scratch[j].second};
+      runs.slots[key & 1]++;
       const bool head = j == 0 || key_of(j - 1) != key;
       flags_[begin + j] = kAlive | (head ? kRunHead : 0);
       if (!head) continue;
@@ -186,15 +239,18 @@ class TriangleIndex {
         classes.b_only++;
       }
     }
-    return classes;
+    return runs;
   }
 
-  // Key of slot i of an edge whose smaller endpoint is u: the third vertex
-  // is the far end of the side edge {u, w}.
-  uint32_t KeyAt(VertexId u, uint64_t i) const {
+  // Third vertex of slot i of an edge whose smaller endpoint is u: the far
+  // end of the side edge {u, w}.
+  VertexId ThirdAt(VertexId u, uint64_t i) const {
     const Edge& side = g_.edges()[slots_[i].first];
-    return KeyOf(side.u ^ side.v ^ u);
+    return side.u ^ side.v ^ u;
   }
+
+  // Key of slot i of an edge whose smaller endpoint is u.
+  uint32_t KeyAt(VertexId u, uint64_t i) const { return KeyOf(ThirdAt(u, i)); }
 
   // First slot of edge f whose key is >= `key`.
   uint64_t FindRun(EdgeId f, uint32_t key) const {
@@ -220,49 +276,49 @@ class TriangleIndex {
   std::vector<uint8_t> flags_;     // kAlive | kRunHead, parallel to slots_
 };
 
-// Shared edge-peeling driver over a TriangleIndex. `policy.Violates(e)`
-// checks the per-edge survival condition; `policy.OnRunEmptied(f, key)`
-// updates edge f's supports after M_f(key) dropped to zero.
+// Shared edge-peeling driver over a TriangleIndex: peels `alive` in place
+// to the greatest fixpoint of the policy's survival condition below it.
+// `policy.Violates(e)` checks the per-edge survival condition;
+// `policy.LoseTriangle(f, e, x)` updates side edge f after it lost the
+// triangle it shares with edge e, whose vertex opposite f is x, and returns
+// true when f's supports dropped.
 //
 // Triangle accounting: a triangle is torn down exactly once — when the first
 // of its edges to be *popped* from the queue is processed. At that moment the
 // other two side edges each lose their third vertex (decrements on already-
 // dead-but-unpopped edges are skipped; their state no longer matters). Edges
 // are marked removed at push time, matching Algorithm 1 line 10, so the
-// violation check never re-queues an edge. At fixpoint every dead edge has
+// violation check never re-queues an edge. Edges already dead in `alive`
+// count as processed; the policy's supports must then count only the
+// triangles whose three edges are alive. At fixpoint every dead edge has
 // been popped, hence every alive edge's support counts exactly the triangles
 // whose other two edges are alive — the maximal subgraph of Lemma 3/4.
 template <typename Policy>
-EdgeReductionResult PeelEdges(const AttributedGraph& g, TriangleIndex& index,
-                              Policy& policy) {
+void PeelEdges(const AttributedGraph& g, const TriangleIndex& index,
+               Policy& policy, std::vector<uint8_t>& alive) {
   const EdgeId m = g.num_edges();
-  EdgeReductionResult result;
-  result.edge_alive.assign(m, 1);
-  result.vertex_alive.assign(g.num_vertices(), 0);
   // not_processed[e] == 1 until e has been popped and its triangles torn
   // down. A triangle with a processed side edge has already been handled.
-  std::vector<uint8_t> not_processed(m, 1);
+  std::vector<uint8_t> not_processed(alive);
 
   // FIFO of removed edges; every edge is pushed at most once.
   std::vector<EdgeId> queue;
   queue.reserve(m);
   for (EdgeId e = 0; e < m; ++e) {
-    if (policy.Violates(e)) {
-      result.edge_alive[e] = 0;  // Removed immediately (Alg. 1 line 10).
+    if (alive[e] && policy.Violates(e)) {
+      alive[e] = 0;  // Removed immediately (Alg. 1 line 10).
       queue.push_back(e);
     }
   }
+  // fclint: hot-path-begin(support_peel)
   for (size_t head = 0; head < queue.size(); ++head) {
     const EdgeId e = queue[head];
     not_processed[e] = 0;
     // Side edge f loses common neighbor x, the endpoint of e opposite it.
     auto lose = [&](EdgeId f, VertexId x) {
-      if (!result.edge_alive[f]) return;
-      const uint32_t key = index.KeyOf(x);
-      if (!index.Kill(f, e, key)) return;
-      policy.OnRunEmptied(f, key);
+      if (!alive[f] || !policy.LoseTriangle(f, e, x)) return;
       if (policy.Violates(f)) {
-        result.edge_alive[f] = 0;
+        alive[f] = 0;
         queue.push_back(f);
       }
     };
@@ -274,7 +330,16 @@ EdgeReductionResult PeelEdges(const AttributedGraph& g, TriangleIndex& index,
       lose(s.second, edge.u);  // {v,w} loses u
     }
   }
-  for (EdgeId e = 0; e < m; ++e) {
+  // fclint: hot-path-end
+}
+
+// Vertex flags and counts of a peel's surviving edges.
+EdgeReductionResult Survivors(const AttributedGraph& g,
+                              std::vector<uint8_t> alive) {
+  EdgeReductionResult result;
+  result.edge_alive = std::move(alive);
+  result.vertex_alive.assign(g.num_vertices(), 0);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (result.edge_alive[e]) {
       result.edges_left++;
       result.vertex_alive[g.edges()[e].u] = 1;
@@ -293,9 +358,9 @@ std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
                                                 const Coloring& coloring) {
   TriangleIndex index(g, coloring, nullptr);
   std::vector<AttrCounts> sup(g.num_edges());
-  index.SortIntoRuns([&sup](EdgeId e, ColorClasses c) {
-    sup[e][Attribute::kA] = c.a_only + c.mixed;
-    sup[e][Attribute::kB] = c.b_only + c.mixed;
+  index.SortIntoRuns([&sup](EdgeId e, const EdgeRuns& r) {
+    sup[e][Attribute::kA] = r.classes.a_only + r.classes.mixed;
+    sup[e][Attribute::kB] = r.classes.b_only + r.classes.mixed;
   });
   return sup;
 }
@@ -303,10 +368,13 @@ std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
 EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
                                          const Coloring& coloring, int k,
                                          ParallelHelpers* helpers) {
-  struct Policy {
+  // Lemma 3's test on (sup_a, sup_b) per edge, interleaved. Both phases use
+  // the one array: the count phase holds common neighbors per attribute,
+  // the color phase distinct colors per attribute.
+  struct Thresholds {
     const AttributedGraph& g;
     int k;
-    std::vector<int32_t> sup;  // (sup_a, sup_b) per edge, interleaved
+    std::vector<int32_t>& sup;
 
     bool Violates(EdgeId e) const {
       const Edge& edge = g.edges()[e];
@@ -314,18 +382,48 @@ EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
       SupportThresholds(g.attribute(edge.u), g.attribute(edge.v), k, &ta, &tb);
       return sup[2 * e] < ta || sup[2 * e + 1] < tb;
     }
-    // Losing the last common neighbor of color c and attribute x drops
-    // sup_x by one.
-    void OnRunEmptied(EdgeId f, uint32_t key) { sup[2 * f + (key & 1)]--; }
+  };
+  // Losing a triangle drops the count of its third vertex's attribute.
+  struct CountPolicy : Thresholds {
+    bool LoseTriangle(EdgeId f, EdgeId, VertexId x) {
+      sup[2 * f + static_cast<size_t>(g.attribute(x))]--;
+      return true;
+    }
+  };
+  // Losing the last common neighbor of color c and attribute x drops sup_x
+  // by one.
+  struct ColorPolicy : Thresholds {
+    TriangleIndex& index;
+
+    bool LoseTriangle(EdgeId f, EdgeId e, VertexId x) {
+      const uint32_t key = index.KeyOf(x);
+      if (!index.Kill(f, e, key)) return false;
+      sup[2 * f + (key & 1)]--;
+      return true;
+    }
   };
   TriangleIndex index(g, coloring, helpers);
-  Policy policy{g, k,
-                std::vector<int32_t>(2 * static_cast<size_t>(g.num_edges()))};
-  index.SortIntoRuns([&policy](EdgeId e, ColorClasses c) {
-    policy.sup[2 * e] = c.a_only + c.mixed;
-    policy.sup[2 * e + 1] = c.b_only + c.mixed;
+  std::vector<int32_t> sup(2 * static_cast<size_t>(g.num_edges()));
+  std::vector<uint8_t> alive(g.num_edges(), 1);
+  index.CountByAttribute(sup);
+  CountPolicy count{{g, k, sup}};
+  PeelEdges(g, index, count, alive);
+  // Every color run of an edge needs a triangle, so a count survivor's
+  // colorful supports never exceed its counts: the count survivors contain
+  // ColorfulSup's fixpoint, and the color peel from them reaches it.
+  index.Compact(alive);
+  index.SortIntoRuns([&](EdgeId e, const EdgeRuns& r) {
+    if (!alive[e]) return;
+    // The count peel left each survivor exactly its alive triangles: a
+    // triangle torn down twice, or never, shows here.
+    FC_CHECK(r.slots[0] == sup[2 * e] && r.slots[1] == sup[2 * e + 1])
+        << "count peel support differs from the alive triangles";
+    sup[2 * e] = r.classes.a_only + r.classes.mixed;
+    sup[2 * e + 1] = r.classes.b_only + r.classes.mixed;
   });
-  return PeelEdges(g, index, policy);
+  ColorPolicy color{{g, k, sup}, index};
+  PeelEdges(g, index, color, alive);
+  return Survivors(g, std::move(alive));
 }
 
 AttrCounts GreedyEnhancedSupport(int64_t ca, int64_t cb, int64_t cm,
@@ -348,7 +446,7 @@ EdgeReductionResult EnColorfulSupReduction(const AttributedGraph& g,
     const AttributedGraph& g;
     int k;
     std::vector<ColorClasses> cls;
-    const TriangleIndex* index;
+    TriangleIndex* index;
 
     bool Violates(EdgeId e) const {
       const Edge& edge = g.edges()[e];
@@ -360,9 +458,12 @@ EdgeReductionResult EnColorfulSupReduction(const AttributedGraph& g,
       int64_t need_b = std::max<int64_t>(0, tb - cls[e].b_only);
       return need_a + need_b > cls[e].mixed;
     }
-    // Color c lost its attribute-x side on f: a mixed color becomes
-    // other-only, an x-only color disappears.
-    void OnRunEmptied(EdgeId f, uint32_t key) {
+    // Color c lost its attribute-x side on f when the last slot of run
+    // (c, x) died: a mixed color becomes other-only, an x-only color
+    // disappears.
+    bool LoseTriangle(EdgeId f, EdgeId e, VertexId x) {
+      const uint32_t key = index->KeyOf(x);
+      if (!index->Kill(f, e, key)) return false;
       ColorClasses& c = cls[f];
       const bool lost_a = (key & 1) == 0;
       if (index->HasAlive(f, key ^ 1)) {
@@ -371,14 +472,17 @@ EdgeReductionResult EnColorfulSupReduction(const AttributedGraph& g,
       } else {
         (lost_a ? c.a_only : c.b_only)--;
       }
+      return true;
     }
   };
   TriangleIndex index(g, coloring, helpers);
   Policy policy{g, k, std::vector<ColorClasses>(g.num_edges()), &index};
-  index.SortIntoRuns([&policy](EdgeId e, ColorClasses c) {
-    policy.cls[e] = c;
+  index.SortIntoRuns([&policy](EdgeId e, const EdgeRuns& r) {
+    policy.cls[e] = r.classes;
   });
-  return PeelEdges(g, index, policy);
+  std::vector<uint8_t> alive(g.num_edges(), 1);
+  PeelEdges(g, index, policy, alive);
+  return Survivors(g, std::move(alive));
 }
 
 }  // namespace fairclique

@@ -38,15 +38,38 @@ std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
 /// parameter k.
 ///
 /// The triangles are listed once over the degree-oriented graph into an
-/// edge->triangle index (one slot per triangle per edge, sorted into
-/// (color, attr) runs that are the paper's M_e entries); a removed edge then
-/// walks only its own slots. Time O(alpha * E + T), where T is the number
-/// of triangles, plus, per support decrement, a binary search over the side
-/// edge's slots and a scan of one run. Space O(E + T) slots.
+/// edge->triangle index (one slot per triangle per edge); a removed edge
+/// then walks only its own slots. The peel runs in two phases:
+///
+///  1. Count phase. The same thresholds applied to the number of common
+///     neighbors of each attribute, not of distinct colors (the support
+///     count peel of truss decomposition), on the unsorted slots. A lost
+///     triangle decrements one counter; there are no keys and no runs.
+///  2. Color phase. Each surviving edge's slots are compacted to the
+///     triangles whose three edges survived and sorted into (color, attr)
+///     runs, the paper's M_e entries. The exact colorful peel then starts
+///     from the count survivors; a count-killed edge counts as processed.
+///
+/// The result is exactly Lemma 3's fixpoint. An edge has at most as many
+/// distinct colors of an attribute as neighbors of it, so every edge that
+/// passes the colorful test in a subgraph passes the count test there: the
+/// count survivors contain the colorful fixpoint. Both tests are monotone
+/// (an edge that passes in a subgraph passes in every supergraph), so the
+/// colorful peel from any superset of the fixpoint reaches it. Color work
+/// (key computation, run sort, the binary search and run scan per
+/// decrement) touches only the survivors' slots.
+///
+/// Time O(alpha * E + T), where T is the number of triangles, plus, per
+/// color-phase support decrement, a binary search over the side edge's
+/// slots and a scan of one run. Space O(E + T) slots. The count phase adds
+/// no memory: its counters become the colorful supports, the compaction
+/// moves slots down without reallocating, and the run flags are sized to
+/// the compacted slots.
 ///
 /// `helpers` (common/parallel_for.h) may run the index build's passes: the
-/// orientation rows, the triangle listing, the slot count and fill, and the
-/// run sort. The peel is serial. The result does not depend on the helpers.
+/// orientation rows, the triangle listing, the slot count and fill, the
+/// attribute count and the run sort. The peels and the compaction are
+/// serial. The result does not depend on the helpers.
 EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
                                          const Coloring& coloring, int k,
                                          ParallelHelpers* helpers = nullptr);
@@ -57,7 +80,9 @@ EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
 /// one attribute. An edge with endpoint-attribute thresholds (ta, tb)
 /// survives iff  max(0, ta-ca) + max(0, tb-cb) <= cm  (the greedy assignment
 /// of Definition 7 succeeds exactly in this case). Strictly stronger than
-/// ColorfulSup. Same index, bounds and helpers as ColorfulSupReduction.
+/// ColorfulSup. Same index, bounds and helpers as ColorfulSupReduction,
+/// but a single color phase over all slots: in the pipeline its input is
+/// ColorfulSup's output, which a count phase would leave unchanged.
 EdgeReductionResult EnColorfulSupReduction(const AttributedGraph& g,
                                            const Coloring& coloring, int k,
                                            ParallelHelpers* helpers = nullptr);

@@ -43,10 +43,10 @@ struct ReductionPipelineResult {
 /// (Lemmas 2-4); reductions are independent of delta.
 ///
 /// `helpers` (common/parallel_for.h) may run the stages' data-parallel
-/// passes (color maps, triangle index build, run sort) that walk at least
-/// kParallelMinWork edges or triangles. Coloring, the peels and the
-/// subgraph copies stay on the caller. The result does not depend on the
-/// helpers.
+/// passes (color maps, triangle index build, count pass, run sort) that
+/// walk at least kParallelMinWork edges or triangles. Coloring, the peels
+/// and the subgraph copies stay on the caller. The result does not depend
+/// on the helpers.
 ReductionPipelineResult ReduceForFairClique(const AttributedGraph& g, int k,
                                             const ReductionOptions& options,
                                             ParallelHelpers* helpers = nullptr);

@@ -35,10 +35,13 @@ std::vector<AttrCounts> BruteSupports(const AttributedGraph& g,
   return sup;
 }
 
-// Brute-force fixpoint of the ColorfulSup conditions: repeatedly drop any
-// edge violating Lemma 3 in the current subgraph.
-std::vector<uint8_t> BruteColorfulSupFixpoint(const AttributedGraph& g,
-                                              const Coloring& c, int k) {
+// Brute-force fixpoint of Lemma 3's thresholds: repeatedly drop any edge
+// violating them in the current subgraph. The supports count distinct
+// colors per attribute (ColorfulSup) or, with `count_neighbors`, common
+// neighbors per attribute (ColorfulSupReduction's count phase).
+std::vector<uint8_t> BruteSupportFixpoint(const AttributedGraph& g,
+                                          const Coloring& c, int k,
+                                          bool count_neighbors) {
   std::vector<uint8_t> alive(g.num_edges(), 1);
   bool changed = true;
   while (changed) {
@@ -46,14 +49,15 @@ std::vector<uint8_t> BruteColorfulSupFixpoint(const AttributedGraph& g,
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       if (!alive[e]) continue;
       const Edge& edge = g.edges()[e];
-      std::set<ColorId> ca, cb;
+      std::set<int64_t> ca, cb;
       for (VertexId w = 0; w < g.num_vertices(); ++w) {
         if (w == edge.u || w == edge.v) continue;
         EdgeId e1 = g.FindEdge(edge.u, w);
         EdgeId e2 = g.FindEdge(edge.v, w);
         if (e1 == kInvalidEdge || e2 == kInvalidEdge) continue;
         if (!alive[e1] || !alive[e2]) continue;
-        (g.attribute(w) == Attribute::kA ? ca : cb).insert(c.color[w]);
+        (g.attribute(w) == Attribute::kA ? ca : cb)
+            .insert(count_neighbors ? static_cast<int64_t>(w) : c.color[w]);
       }
       int64_t ta, tb;
       SupportThresholds(g.attribute(edge.u), g.attribute(edge.v), k, &ta, &tb);
@@ -65,6 +69,16 @@ std::vector<uint8_t> BruteColorfulSupFixpoint(const AttributedGraph& g,
     }
   }
   return alive;
+}
+
+std::vector<uint8_t> BruteColorfulSupFixpoint(const AttributedGraph& g,
+                                              const Coloring& c, int k) {
+  return BruteSupportFixpoint(g, c, k, /*count_neighbors=*/false);
+}
+
+std::vector<uint8_t> BruteCountFixpoint(const AttributedGraph& g,
+                                        const Coloring& c, int k) {
+  return BruteSupportFixpoint(g, c, k, /*count_neighbors=*/true);
 }
 
 // Brute-force fixpoint of the EnColorfulSup feasibility condition.
@@ -117,9 +131,32 @@ std::string AlternatingAttrs(int n) {
   return attrs;
 }
 
+// Edge {0, 1} of two a-vertices whose common neighbors 2..4 are an
+// independent set of b-vertices, so GreedyColoring gives them one color:
+// count support (0, 3), colorful support (0, 1). Each side edge {0, w} or
+// {1, w} lies in its own K_4 (attributes a, b, a, b), which meets Lemma 3's
+// k = 2 thresholds on its own. At k = 2 the count phase removes nothing and
+// the color phase removes exactly {0, 1}; from k = 3 on the count phase
+// removes every edge.
+AttributedGraph SameColorFan() {
+  std::vector<std::pair<int, int>> edges = {{0, 1}};
+  for (int i = 0; i < 3; ++i) {
+    const int w = 2 + i;
+    const int p = 5 + 4 * i;  // p, p+1 join hub 0; p+2, p+3 join hub 1
+    for (int hub = 0; hub < 2; ++hub) {
+      const int x = p + 2 * hub;
+      edges.insert(edges.end(), {{hub, w}, {hub, x}, {hub, x + 1},
+                                 {w, x}, {w, x + 1}, {x, x + 1}});
+    }
+  }
+  return MakeGraph("aabbb" "abababababab", edges);
+}
+
 // Degree-tie and hub shapes for the triangle listing's degree orientation:
 // every vertex tied (K_8), one hub above a clique of its leaves, no
-// triangles at all, nothing at all, and isolated vertices beside a clique.
+// triangles at all, nothing at all, and isolated vertices beside a clique;
+// and the same-color fan, which separates ColorfulSupReduction's count and
+// color phases.
 std::vector<std::pair<std::string, AttributedGraph>> ShapeGraphs() {
   std::vector<std::pair<std::string, AttributedGraph>> shapes;
   std::vector<std::pair<int, int>> k8;
@@ -150,6 +187,7 @@ std::vector<std::pair<std::string, AttributedGraph>> ShapeGraphs() {
     for (int v = u + 1; v < 8; ++v) isolated.push_back({u, v});
   }
   shapes.push_back({"isolated", MakeGraph(AlternatingAttrs(12), isolated)});
+  shapes.push_back({"same-color fan", SameColorFan()});
   return shapes;
 }
 
@@ -179,14 +217,33 @@ TEST(ColorfulSupportTest, ShapesReachExactFixpoints) {
   for (const auto& [name, g] : ShapeGraphs()) {
     Coloring c = GreedyColoring(g);
     for (int k = 2; k <= 5; ++k) {
-      EXPECT_EQ(ColorfulSupReduction(g, c, k).edge_alive,
-                BruteColorfulSupFixpoint(g, c, k))
+      const std::vector<uint8_t> colorful = BruteColorfulSupFixpoint(g, c, k);
+      EXPECT_EQ(ColorfulSupReduction(g, c, k).edge_alive, colorful)
           << name << " k=" << k;
       EXPECT_EQ(EnColorfulSupReduction(g, c, k).edge_alive,
                 BruteEnColorfulSupFixpoint(g, c, k))
           << name << " k=" << k;
+      // The count phase may only keep more: it starts the color phase from
+      // a superset of the colorful fixpoint.
+      const std::vector<uint8_t> count = BruteCountFixpoint(g, c, k);
+      for (EdgeId e = 0; e < g.num_edges(); ++e) {
+        EXPECT_LE(colorful[e], count[e]) << name << " k=" << k << " edge " << e;
+      }
     }
   }
+  // The same-color fan at k = 2: the count phase keeps every edge, the color
+  // phase then removes {0, 1}. At k = 3 the count phase removes every edge.
+  AttributedGraph fan = SameColorFan();
+  Coloring c = GreedyColoring(fan);
+  ASSERT_EQ(c.color[2], c.color[3]);
+  ASSERT_EQ(c.color[3], c.color[4]);
+  const std::vector<uint8_t> all(fan.num_edges(), 1);
+  std::vector<uint8_t> all_but_hub_edge = all;
+  all_but_hub_edge[fan.FindEdge(0, 1)] = 0;
+  EXPECT_EQ(BruteCountFixpoint(fan, c, 2), all);
+  EXPECT_EQ(BruteColorfulSupFixpoint(fan, c, 2), all_but_hub_edge);
+  EXPECT_EQ(BruteCountFixpoint(fan, c, 3),
+            std::vector<uint8_t>(fan.num_edges(), 0));
 }
 
 TEST(ColorfulSupportTest, PaperExample2) {

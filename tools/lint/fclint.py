@@ -49,6 +49,7 @@ REQUIRED_REGIONS = {
     "hot-path:counter_increment": "Counter::Increment",
     "hot-path:histogram_record": "Histogram::Record",
     "hot-path:branch_kernel": "the branch-and-bound inner loop",
+    "hot-path:support_peel": "the support peels' per-pop loop (PeelEdges)",
 }
 
 RAW_PRIMITIVES = re.compile(

@@ -10,61 +10,85 @@ namespace fairclique {
 
 namespace {
 
+// The vertices `mask` keeps, by their degree within it, descending, ties by
+// id: a counting sort. With an empty mask this is Welsh-Powell's order.
+std::vector<VertexId> ByDegreeDescending(const AttributedGraph& g,
+                                         const GraphMask& mask) {
+  const VertexId n = g.num_vertices();
+  const uint32_t dmax = g.max_degree();
+  std::vector<uint32_t> degree(n);
+  // start[dmax - d] becomes the first position of degree d.
+  std::vector<VertexId> start(static_cast<size_t>(dmax) + 2, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    if (!mask.vertex(v)) continue;
+    degree[v] = AliveDegree(g, mask, v);
+    ++start[dmax - degree[v] + 1];
+  }
+  for (size_t i = 1; i < start.size(); ++i) start[i] += start[i - 1];
+  std::vector<VertexId> verts(start.back());
+  for (VertexId v = 0; v < n; ++v) {
+    if (mask.vertex(v)) verts[start[dmax - degree[v]]++] = v;
+  }
+  return verts;
+}
+
 std::vector<VertexId> OrderVertices(const AttributedGraph& g,
                                     ColoringOrder order) {
-  const VertexId n = g.num_vertices();
-  std::vector<VertexId> verts(n);
-  std::iota(verts.begin(), verts.end(), 0);
   switch (order) {
     case ColoringOrder::kNatural:
       break;
-    case ColoringOrder::kDegreeDescending: {
-      // Counting sort by degree, descending; ties by id for determinism.
-      uint32_t dmax = g.max_degree();
-      std::vector<std::vector<VertexId>> buckets(dmax + 1);
-      for (VertexId v = 0; v < n; ++v) buckets[g.degree(v)].push_back(v);
-      verts.clear();
-      for (size_t d = buckets.size(); d-- > 0;) {
-        for (VertexId v : buckets[d]) verts.push_back(v);
-      }
-      break;
-    }
+    case ColoringOrder::kDegreeDescending:
+      return ByDegreeDescending(g, GraphMask{});
     case ColoringOrder::kDegeneracy: {
       // Smallest-last: color in reverse peeling order, which bounds the
       // number of colors by degeneracy + 1.
       CoreDecomposition cores = ComputeCores(g);
-      verts.assign(cores.peel_order.rbegin(), cores.peel_order.rend());
-      break;
+      return {cores.peel_order.rbegin(), cores.peel_order.rend()};
     }
   }
+  std::vector<VertexId> verts(g.num_vertices());
+  std::iota(verts.begin(), verts.end(), 0);
   return verts;
+}
+
+// Colors `verts` in order, each with the smallest color absent from its
+// neighbors across edges alive in `edge_alive` (all when empty). Vertices
+// not in `verts` keep color -1, so a loop over them skips them like any
+// neighbor not colored yet: the vertex flags of a mask need no check.
+Coloring ColorInOrder(const AttributedGraph& g,
+                      std::span<const uint8_t> edge_alive,
+                      const std::vector<VertexId>& verts) {
+  Coloring result;
+  result.color.assign(g.num_vertices(), -1);
+  // `used[c + 1] == v` marks color c as used by a neighbor of the vertex v
+  // being colored; avoids clearing a bitmap between vertices. used[0]
+  // absorbs the uncolored neighbors, so the loop does not branch on them.
+  std::vector<VertexId> used(static_cast<size_t>(g.max_degree()) + 3,
+                             kInvalidVertex);
+  int num_colors = 0;
+  // fclint: hot-path-begin(masked_coloring)
+  for (VertexId v : verts) {
+    ForEachNeighbor(g, edge_alive, v, [&](VertexId w, EdgeId) {
+      used[static_cast<size_t>(result.color[w] + 1)] = v;
+    });
+    ColorId c = 0;
+    while (used[static_cast<size_t>(c + 1)] == v) ++c;
+    result.color[v] = c;
+    num_colors = std::max(num_colors, c + 1);
+  }
+  // fclint: hot-path-end
+  result.num_colors = num_colors;
+  return result;
 }
 
 }  // namespace
 
 Coloring GreedyColoring(const AttributedGraph& g, ColoringOrder order) {
-  const VertexId n = g.num_vertices();
-  Coloring result;
-  result.color.assign(n, -1);
-  std::vector<VertexId> verts = OrderVertices(g, order);
+  return ColorInOrder(g, {}, OrderVertices(g, order));
+}
 
-  // `used[c] == v` marks color c as used by a neighbor of the vertex v being
-  // colored; avoids clearing a bitmap between vertices.
-  std::vector<VertexId> used(static_cast<size_t>(g.max_degree()) + 2,
-                             kInvalidVertex);
-  int num_colors = 0;
-  for (VertexId v : verts) {
-    for (VertexId w : g.neighbors(v)) {
-      ColorId c = result.color[w];
-      if (c >= 0) used[static_cast<size_t>(c)] = v;
-    }
-    ColorId c = 0;
-    while (used[static_cast<size_t>(c)] == v) ++c;
-    result.color[v] = c;
-    num_colors = std::max(num_colors, c + 1);
-  }
-  result.num_colors = num_colors;
-  return result;
+Coloring GreedyColoring(const AttributedGraph& g, const GraphMask& mask) {
+  return ColorInOrder(g, mask.edge_alive, ByDegreeDescending(g, mask));
 }
 
 bool IsProperColoring(const AttributedGraph& g, const Coloring& coloring) {

@@ -33,6 +33,16 @@ struct Coloring {
 Coloring GreedyColoring(const AttributedGraph& g,
                         ColoringOrder order = ColoringOrder::kDegreeDescending);
 
+/// Degree-descending greedy coloring of the subgraph `mask` keeps, on g's
+/// own vertex ids: vertices in order of their degree within the mask,
+/// descending, ties by id, and only alive edges are looked at. Vertices
+/// outside the mask get color -1. The reduction pipeline recolors its
+/// shrinking survivors this way instead of copying them. The colors and
+/// num_colors are those of GreedyColoring(g.FilteredSubgraph(mask)) mapped
+/// back through the kept ids, since that renumbering keeps the id order.
+/// GreedyColoring(g) is the same with an empty mask. O(V + E).
+Coloring GreedyColoring(const AttributedGraph& g, const GraphMask& mask);
+
 /// True when `coloring` is proper for `g` (no edge joins equal colors) and
 /// colors are within [0, num_colors).
 bool IsProperColoring(const AttributedGraph& g, const Coloring& coloring);

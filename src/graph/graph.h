@@ -140,6 +140,57 @@ class AttributedGraph {
   uint32_t max_degree_ = 0;
 };
 
+/// A subgraph named by alive flags over a graph's own vertex and edge ids,
+/// without a copy: the form in which the reduction stages hand their
+/// survivors on. The rule is FilteredSubgraph's: an empty vertex_alive
+/// keeps every vertex, an empty edge_alive every edge between alive
+/// vertices (the induced subgraph). A sized edge_alive must keep only edges
+/// whose endpoints are alive, so that it alone decides. FilteredSubgraph(
+/// vertex_alive, edge_alive) materializes the mask; its renumbering is
+/// monotone, so id order within the mask is id order in the copy.
+struct GraphMask {
+  std::span<const uint8_t> vertex_alive;
+  std::span<const uint8_t> edge_alive;
+
+  bool vertex(VertexId v) const {
+    return vertex_alive.empty() || vertex_alive[v] != 0;
+  }
+};
+
+/// Number of alive edges at v: 0 when v is not alive.
+inline uint32_t AliveDegree(const AttributedGraph& g, const GraphMask& mask,
+                            VertexId v) {
+  if (!mask.vertex(v)) return 0;
+  uint32_t d = 0;
+  if (!mask.edge_alive.empty()) {
+    for (EdgeId e : g.edge_ids(v)) d += mask.edge_alive[e] != 0;
+  } else if (!mask.vertex_alive.empty()) {
+    for (VertexId w : g.neighbors(v)) d += mask.vertex_alive[w] != 0;
+  } else {
+    d = g.degree(v);
+  }
+  return d;
+}
+
+/// Calls `fn(w, e)` for every neighbor w of v whose edge e is alive in
+/// `edge_alive` (every edge when it is empty), in neighbor-id order. It
+/// checks no vertex flags: masked loops that call it rule out dead
+/// vertices another way, and say how.
+template <typename Fn>
+void ForEachNeighbor(const AttributedGraph& g,
+                     std::span<const uint8_t> edge_alive, VertexId v,
+                     Fn&& fn) {
+  const std::span<const VertexId> nbrs = g.neighbors(v);
+  const std::span<const EdgeId> ids = g.edge_ids(v);
+  if (edge_alive.empty()) {
+    for (size_t i = 0; i < nbrs.size(); ++i) fn(nbrs[i], ids[i]);
+    return;
+  }
+  for (size_t i = 0; i < nbrs.size(); ++i) {
+    if (edge_alive[ids[i]]) fn(nbrs[i], ids[i]);
+  }
+}
+
 /// Accumulates edges and attributes, then produces a normalized
 /// AttributedGraph: self-loops dropped, duplicate edges collapsed, adjacency
 /// sorted, edge ids assigned.

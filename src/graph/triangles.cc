@@ -18,34 +18,44 @@ size_t ListingGrain(VertexId n) {
 }  // namespace
 
 DegreeOrientation::DegreeOrientation(const AttributedGraph& g,
+                                     const GraphMask& mask,
                                      ParallelHelpers* helpers) {
   helpers = HelpersForWork(helpers, g.num_edges());
   const VertexId n = g.num_vertices();
-  auto ranks_below = [&g](VertexId u, VertexId v) {
-    const uint32_t du = g.degree(u);
-    const uint32_t dv = g.degree(v);
-    return du < dv || (du == dv && u < v);
+  std::vector<uint32_t> degree(n);
+  ParallelFor(helpers, n, kRowGrain, [&](size_t begin, size_t end) {
+    for (VertexId u = begin; u < end; ++u) degree[u] = AliveDegree(g, mask, u);
+  });
+  // A vertex outside the mask has alive degree 0. It ranks below every
+  // vertex with an alive edge, so it never heads an arc from one, and rows
+  // of degree 0 are skipped: only a sized edge mask needs checking below.
+  auto ranks_below = [&degree](VertexId u, VertexId v) {
+    return degree[u] < degree[v] || (degree[u] == degree[v] && u < v);
   };
   // offsets_[u + 1] first holds u's out-degree, then the prefix sum.
   offsets_.assign(static_cast<size_t>(n) + 1, 0);
   ParallelFor(helpers, n, kRowGrain, [&](size_t begin, size_t end) {
     for (VertexId u = begin; u < end; ++u) {
+      if (degree[u] == 0) continue;
       uint64_t out = 0;
-      for (VertexId v : g.neighbors(u)) out += ranks_below(u, v);
+      ForEachNeighbor(g, mask.edge_alive, u, [&](VertexId v, EdgeId) {
+        out += ranks_below(u, v);
+      });
       offsets_[u + 1] = out;
     }
   });
   for (VertexId u = 0; u < n; ++u) offsets_[u + 1] += offsets_[u];
-  arcs_.resize(g.num_edges());
+  arcs_.resize(offsets_[n]);
   ParallelFor(helpers, n, kRowGrain, [&](size_t begin, size_t end) {
+    // fclint: hot-path-begin(masked_orientation_rows)
     for (VertexId u = begin; u < end; ++u) {
-      auto nbrs = g.neighbors(u);
-      auto ids = g.edge_ids(u);
+      if (degree[u] == 0) continue;
       uint64_t pos = offsets_[u];
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        if (ranks_below(u, nbrs[i])) arcs_[pos++] = {nbrs[i], ids[i]};
-      }
+      ForEachNeighbor(g, mask.edge_alive, u, [&](VertexId v, EdgeId e) {
+        if (ranks_below(u, v)) arcs_[pos++] = {v, e};
+      });
     }
+    // fclint: hot-path-end
   });
 }
 

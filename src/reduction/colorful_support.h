@@ -11,6 +11,7 @@
 namespace fairclique {
 
 class ParallelHelpers;
+class TriangleIndex;  // reduction/triangle_index.h
 
 /// Result of an edge-peeling (truss-style) reduction: flags per edge and per
 /// vertex (a vertex dies when all its edges die) plus summary counts.
@@ -20,6 +21,11 @@ struct EdgeReductionResult {
   VertexId vertices_left = 0;
   EdgeId edges_left = 0;
 };
+
+/// The reduction result of an edge mask: `edge_alive` itself, the vertices
+/// with an alive edge, and their counts.
+EdgeReductionResult EdgeSurvivors(const AttributedGraph& g,
+                                  std::vector<uint8_t> edge_alive);
 
 /// Colorful support of every edge (Definition 6): sup_ai(u,v) = number of
 /// distinct colors among common neighbors of u and v having attribute ai.
@@ -74,6 +80,20 @@ EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
                                          const Coloring& coloring, int k,
                                          ParallelHelpers* helpers = nullptr);
 
+/// The masked stage entry behind ColorfulSupReduction, which calls it with
+/// every edge alive. `alive` (size E) names the stage's input, the alive
+/// edges of g, and `index` must hold exactly their triangles, the ones
+/// whose three edges are alive, in any slot order: a TriangleIndex built
+/// over the same mask, or an earlier peel's index after
+/// `index.Compact(alive)`. `coloring` need only cover the endpoints of
+/// alive edges. The peel clears the removed edges in `alive`. The index
+/// keeps the input's triangles; Compact(alive) then leaves exactly those
+/// whose three edges survived, the input triangles of a later support peel
+/// on the survivors. That hand-off is how the pipeline and the support
+/// decomposition list triangles once.
+void ColorfulSupPeel(const AttributedGraph& g, const Coloring& coloring, int k,
+                     TriangleIndex& index, std::vector<uint8_t>& alive);
+
 /// Enhanced colorful support reduction (Definition 7 / Lemma 4): like
 /// ColorfulSup, but colors of the common neighborhood are partitioned into
 /// a-only / b-only / mixed classes and each mixed color counts toward only
@@ -86,6 +106,14 @@ EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
 EdgeReductionResult EnColorfulSupReduction(const AttributedGraph& g,
                                            const Coloring& coloring, int k,
                                            ParallelHelpers* helpers = nullptr);
+
+/// The masked stage entry behind EnColorfulSupReduction, with the contract
+/// of ColorfulSupPeel. Taking over the index ColorfulSupPeel left, it lists
+/// no triangles: it re-keys the slots under its own `coloring` and sorts
+/// them into runs again.
+void EnColorfulSupPeel(const AttributedGraph& g, const Coloring& coloring,
+                       int k, TriangleIndex& index,
+                       std::vector<uint8_t>& alive);
 
 /// Greedy mixed-color assignment of Definition 7, exposed for tests: given
 /// class sizes and thresholds, returns the per-attribute enhanced colorful

@@ -1,6 +1,7 @@
 #include "reduction/reduce.h"
 
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "common/timer.h"
@@ -8,74 +9,83 @@
 #include "obs/profiler.h"
 #include "reduction/colorful_core.h"
 #include "reduction/colorful_support.h"
+#include "reduction/triangle_index.h"
 
 namespace fairclique {
-
-namespace {
-
-// Composes `inner` (ids of the current graph -> previous graph) into
-// `outer` (previous graph -> original graph).
-std::vector<VertexId> ComposeIds(const std::vector<VertexId>& outer,
-                                 const std::vector<VertexId>& inner) {
-  std::vector<VertexId> composed(inner.size());
-  for (size_t i = 0; i < inner.size(); ++i) composed[i] = outer[inner[i]];
-  return composed;
-}
-
-}  // namespace
 
 ReductionPipelineResult ReduceForFairClique(const AttributedGraph& g, int k,
                                             const ReductionOptions& options,
                                             ParallelHelpers* helpers) {
   ReductionPipelineResult result;
-  result.reduced = g;
-  result.original_ids.resize(g.num_vertices());
-  std::iota(result.original_ids.begin(), result.original_ids.end(), 0);
+  // The survivors as a GraphMask: both empty at first, and edge_alive stays
+  // empty after EnColorfulCore, whose survivors are an induced subgraph.
+  std::vector<uint8_t> vertex_alive;
+  std::vector<uint8_t> edge_alive;
+  // Listed by the first support stage and handed on to the second.
+  std::optional<TriangleIndex> triangles;
 
-  auto run_stage = [&result](const char* name, auto&& stage_fn) {
+  auto run_stage = [&](const char* name, auto&& stage_fn) {
     // The stage names below are string literals, which is what lets the
     // profiler tag the scope by pointer identity.
     obs::ProfileScope profile_scope(name);
     WallTimer timer;
-    AttributedGraph& cur = result.reduced;
-    Coloring coloring = GreedyColoring(cur);
-    std::vector<VertexId> inner_ids;
-    AttributedGraph next = stage_fn(cur, coloring, &inner_ids);
-    result.stages.push_back({name, next.num_vertices(), next.num_edges(),
-                             timer.ElapsedMicros()});
-    result.original_ids = ComposeIds(result.original_ids, inner_ids);
-    result.reduced = std::move(next);
+    const Coloring coloring =
+        GreedyColoring(g, GraphMask{vertex_alive, edge_alive});
+    const auto [vertices_left, edges_left] = stage_fn(coloring);
+    result.stages.push_back(
+        {name, vertices_left, edges_left, timer.ElapsedMicros()});
+  };
+  auto support_stage = [&](const char* name, auto peel) {
+    run_stage(name, [&](const Coloring& coloring) {
+      if (triangles) {
+        // The hand-off: keep the triangles whose three edges survived.
+        triangles->Compact(edge_alive);
+      } else {
+        const GraphMask mask{vertex_alive, edge_alive};
+        triangles.emplace(g, mask, helpers);
+        if (edge_alive.empty()) {
+          edge_alive.resize(g.num_edges());
+          for (EdgeId e = 0; e < g.num_edges(); ++e) {
+            edge_alive[e] =
+                mask.vertex(g.edges()[e].u) && mask.vertex(g.edges()[e].v);
+          }
+        }
+      }
+      peel(g, coloring, k, *triangles, edge_alive);
+      EdgeReductionResult r = EdgeSurvivors(g, std::move(edge_alive));
+      edge_alive = std::move(r.edge_alive);
+      vertex_alive = std::move(r.vertex_alive);
+      return std::pair{r.vertices_left, r.edges_left};
+    });
   };
 
   if (options.use_en_colorful_core) {
-    run_stage("EnColorfulCore",
-              [k, helpers](const AttributedGraph& cur, const Coloring& coloring,
-                           std::vector<VertexId>* ids) {
-                // Lemma 2: fair cliques live in the enhanced colorful
-                // (k-1)-core.
-                VertexReductionResult r =
-                    EnColorfulCore(cur, coloring, k - 1, helpers);
-                return cur.FilteredSubgraph(r.alive, {}, ids);
-              });
+    // Lemma 2: fair cliques live in the enhanced colorful (k-1)-core. It is
+    // the first stage, so it runs on the whole graph.
+    run_stage("EnColorfulCore", [&](const Coloring& coloring) {
+      VertexReductionResult r = EnColorfulCore(g, coloring, k - 1, helpers);
+      vertex_alive = std::move(r.alive);
+      return std::pair{r.vertices_left, r.edges_left};
+    });
   }
-  if (options.use_colorful_sup) {
-    run_stage("ColorfulSup",
-              [k, helpers](const AttributedGraph& cur, const Coloring& coloring,
-                           std::vector<VertexId>* ids) {
-                EdgeReductionResult r =
-                    ColorfulSupReduction(cur, coloring, k, helpers);
-                return cur.FilteredSubgraph(r.vertex_alive, r.edge_alive, ids);
-              });
-  }
+  if (options.use_colorful_sup) support_stage("ColorfulSup", ColorfulSupPeel);
   if (options.use_en_colorful_sup) {
-    run_stage("EnColorfulSup",
-              [k, helpers](const AttributedGraph& cur, const Coloring& coloring,
-                           std::vector<VertexId>* ids) {
-                EdgeReductionResult r =
-                    EnColorfulSupReduction(cur, coloring, k, helpers);
-                return cur.FilteredSubgraph(r.vertex_alive, r.edge_alive, ids);
-              });
+    support_stage("EnColorfulSup", EnColorfulSupPeel);
   }
+  triangles.reset();
+
+  if (result.stages.empty()) {
+    // Nothing ran: share g's store instead of copying it.
+    result.reduced = g;
+    result.original_ids.resize(g.num_vertices());
+    std::iota(result.original_ids.begin(), result.original_ids.end(), 0);
+    return result;
+  }
+  // The one copy, charged to the last stage.
+  WallTimer timer;
+  result.reduced =
+      g.FilteredSubgraph(vertex_alive, edge_alive, &result.original_ids);
+  result.stages.back().micros += timer.ElapsedMicros();
   return result;
 }
 

@@ -20,17 +20,18 @@ struct ReductionOptions {
   bool use_en_colorful_sup = true;   // EnColorfulSup(g, k), Lemma 4
 };
 
-/// Sizes after one reduction stage.
+/// Sizes after one reduction stage: those of the subgraph it keeps, which
+/// is what FilteredSubgraph would copy at that point.
 struct ReductionStageStats {
   std::string name;
   VertexId vertices_left = 0;
   EdgeId edges_left = 0;
-  int64_t micros = 0;
+  int64_t micros = 0;  // the last stage's includes the final copy
 };
 
 /// Result of the staged reduction pipeline. `reduced` is the materialized
 /// surviving subgraph; `original_ids[i]` maps its vertex i back to the input
-/// graph.
+/// graph (the kept vertices in increasing order).
 struct ReductionPipelineResult {
   AttributedGraph reduced;
   std::vector<VertexId> original_ids;
@@ -38,15 +39,26 @@ struct ReductionPipelineResult {
 };
 
 /// Runs EnColorfulCore -> ColorfulSup -> EnColorfulSup (subject to
-/// `options`), recoloring the shrinking graph before each stage. Every
-/// relative fair clique with parameters (k, *) of `g` survives in the result
-/// (Lemmas 2-4); reductions are independent of delta.
+/// `options`). Every relative fair clique with parameters (k, *) of `g`
+/// survives in the result (Lemmas 2-4); reductions are independent of
+/// delta.
+///
+/// The stages run on g itself plus a vertex and an edge alive mask
+/// (GraphMask), each recoloring the current survivors with the masked
+/// GreedyColoring first. The survivors are copied once, by FilteredSubgraph
+/// at the end; with every stage off, `reduced` shares g. The first support
+/// stage lists the survivors' triangles into a TriangleIndex. Compacted to
+/// the triangles whose three edges survived its peel, that index is the
+/// second support stage's input, re-keyed under its own coloring, not
+/// listed again. The result equals chaining the public stage functions
+/// with a FilteredSubgraph copy after each, since that renumbering keeps
+/// the id order and every stage's fixpoint is unique.
 ///
 /// `helpers` (common/parallel_for.h) may run the stages' data-parallel
-/// passes (color maps, triangle index build, count pass, run sort) that
-/// walk at least kParallelMinWork edges or triangles. Coloring, the peels
-/// and the subgraph copies stay on the caller. The result does not depend
-/// on the helpers.
+/// passes (color maps, orientation, triangle listing and slot fill, count
+/// pass, run sort) that walk at least kParallelMinWork edges or triangles.
+/// Coloring, the peels, the index compaction and the final copy stay on
+/// the caller. The result does not depend on the helpers.
 ReductionPipelineResult ReduceForFairClique(const AttributedGraph& g, int k,
                                             const ReductionOptions& options,
                                             ParallelHelpers* helpers = nullptr);

@@ -1,59 +1,37 @@
 #include "reduction/support_decomposition.h"
 
-#include <utility>
-
-#include "common/logging.h"
 #include "reduction/colorful_support.h"
+#include "reduction/triangle_index.h"
 
 namespace fairclique {
 
 namespace {
 
-// Shared level-by-level driver: at level k the reduction runs on the level
-// (k-1) survivor subgraph (same fixpoint as running on g — peeling from any
-// superset of the fixpoint converges to it — but far cheaper), with the
-// *original* coloring carried along so every level is consistent with a
-// direct ColorfulSupReduction(g, coloring, k) call.
-template <typename ReduceFn>
+// Shared level-by-level driver: level k peels the level (k-1) survivors
+// of one edge mask on g through the masked stage entry, with the one
+// coloring throughout. That is the fixpoint of a direct
+// ColorfulSupReduction(g, coloring, k) call (peeling from any superset of
+// the fixpoint converges to it), but far cheaper, and the triangles are
+// listed once: compacted to the survivors, each level's index is the next
+// level's input.
+template <typename Peel>
 SupportDecomposition Decompose(const AttributedGraph& g,
-                               const Coloring& coloring, ReduceFn&& reduce) {
+                               const Coloring& coloring, Peel&& peel) {
   SupportDecomposition result;
   result.ksup.assign(g.num_edges(), 0);
-  if (g.num_edges() == 0) return result;
-
-  AttributedGraph current = g;
-  // Maps current-graph artifacts back to g: vertices and edge ids.
-  std::vector<VertexId> vertex_ids(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) vertex_ids[v] = v;
-  Coloring current_coloring = coloring;
-
-  for (int k = 1; current.num_edges() > 0; ++k) {
-    EdgeReductionResult r = reduce(current, current_coloring, k);
+  std::vector<uint8_t> alive(g.num_edges(), 1);
+  TriangleIndex index(g, GraphMask{}, nullptr);
+  for (int k = 1;; ++k) {
+    peel(g, coloring, k, index, alive);
     // Every surviving edge has ksup >= k.
-    for (EdgeId e = 0; e < current.num_edges(); ++e) {
-      if (!r.edge_alive[e]) continue;
-      const Edge& edge = current.edges()[e];
-      EdgeId orig = g.FindEdge(vertex_ids[edge.u], vertex_ids[edge.v]);
-      FC_CHECK(orig != kInvalidEdge) << "survivor edge missing in base graph";
-      result.ksup[orig] = k;
+    bool any = false;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (alive[e]) result.ksup[e] = k;
+      any = any || alive[e];
     }
-    if (r.edges_left == 0) break;
+    if (!any) break;
     result.max_k = k;
-    // Materialize the survivor subgraph and restrict the coloring.
-    std::vector<VertexId> inner;
-    AttributedGraph next =
-        current.FilteredSubgraph(r.vertex_alive, r.edge_alive, &inner);
-    Coloring next_coloring;
-    next_coloring.num_colors = current_coloring.num_colors;
-    next_coloring.color.resize(next.num_vertices());
-    std::vector<VertexId> next_ids(next.num_vertices());
-    for (VertexId v = 0; v < next.num_vertices(); ++v) {
-      next_coloring.color[v] = current_coloring.color[inner[v]];
-      next_ids[v] = vertex_ids[inner[v]];
-    }
-    current = std::move(next);
-    current_coloring = std::move(next_coloring);
-    vertex_ids = std::move(next_ids);
+    index.Compact(alive);
   }
   return result;
 }
@@ -62,18 +40,12 @@ SupportDecomposition Decompose(const AttributedGraph& g,
 
 SupportDecomposition ComputeColorfulSupportNumbers(const AttributedGraph& g,
                                                    const Coloring& coloring) {
-  return Decompose(g, coloring,
-                   [](const AttributedGraph& cur, const Coloring& col, int k) {
-                     return ColorfulSupReduction(cur, col, k);
-                   });
+  return Decompose(g, coloring, ColorfulSupPeel);
 }
 
 SupportDecomposition ComputeEnhancedSupportNumbers(const AttributedGraph& g,
                                                    const Coloring& coloring) {
-  return Decompose(g, coloring,
-                   [](const AttributedGraph& cur, const Coloring& col, int k) {
-                     return EnColorfulSupReduction(cur, col, k);
-                   });
+  return Decompose(g, coloring, EnColorfulSupPeel);
 }
 
 std::vector<uint8_t> EdgeAliveAtK(const SupportDecomposition& decomposition,

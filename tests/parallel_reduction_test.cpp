@@ -167,11 +167,17 @@ TEST(ParallelReduction, ThrowingChunkWithdrawsTheRest) {
   }
 }
 
-// Every scale-4 fingerprint of ReductionGoldenTest, reduced with `helpers`.
+// Every scale-4 fingerprint of ReductionGoldenTest, reduced with `helpers`:
+// the full pipeline, where EnColorfulSup takes over ColorfulSup's triangle
+// index, and each stage alone, where ColorfulSup or EnColorfulSup lists its
+// own. Then ColorfulSup switched off, where EnColorfulSup lists from
+// EnColorfulCore's masks; it has no fingerprint, so the serial run is the
+// reference.
 void ExpectScale4Fingerprints(const std::string& name,
                               ParallelHelpers* helpers) {
   const AttributedGraph g = LoadDataset(name, 4);
-  int checked = 0;
+  const std::vector<int>& k_range = DatasetByName(name).k_range;
+  size_t checked[4] = {0, 0, 0, 0};
   for (const GoldenReduction& want : kGolden) {
     if (want.dataset != name || want.scale != 4) continue;
     ReductionPipelineResult r =
@@ -181,10 +187,17 @@ void ExpectScale4Fingerprints(const std::string& name,
     EXPECT_EQ(r.reduced.num_vertices(), want.vertices);
     EXPECT_EQ(r.reduced.num_edges(), want.edges);
     EXPECT_EQ(ReducedGraphHash(r), want.hash);
-    ++checked;
+    ++checked[want.stages];
   }
-  EXPECT_EQ(checked,
-            static_cast<int>(DatasetByName(name).k_range.size()) * 4);
+  for (size_t count : checked) EXPECT_EQ(count, k_range.size());
+  const ReductionOptions no_colorful_sup{true, false, true};
+  for (int k : k_range) {
+    SCOPED_TRACE(testing::Message() << name << " x4 k=" << k
+                                    << " without ColorfulSup");
+    EXPECT_EQ(
+        ReducedGraphHash(ReduceForFairClique(g, k, no_colorful_sup, helpers)),
+        ReducedGraphHash(ReduceForFairClique(g, k, no_colorful_sup)));
+  }
 }
 
 class StandInFingerprints : public ::testing::TestWithParam<const char*> {};
@@ -215,13 +228,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ParallelReduction, LargerStandInsOfferWork) {
   // The cutoff must not hide the parallel path from the scale-4 tests: at
-  // least these two stand-ins reach it there.
+  // least these two stand-ins reach it there, in the full pipeline and with
+  // each stage alone.
   for (const char* name : {"pokec-s", "dblp-s"}) {
-    RecordingHelpers recording;
+    const AttributedGraph g = LoadDataset(name, 4);
     const DatasetSpec spec = DatasetByName(name);
-    ReduceForFairClique(LoadDataset(name, 4), spec.default_k,
-                        ReductionOptions{}, &recording);
-    EXPECT_GT(recording.offers(), 0) << name;
+    for (int stages = 0; stages < 4; ++stages) {
+      RecordingHelpers recording;
+      ReduceForFairClique(g, spec.default_k, StageOptions(stages), &recording);
+      EXPECT_GT(recording.offers(), 0) << name << " stages=" << stages;
+    }
   }
 }
 

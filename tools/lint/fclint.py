@@ -50,6 +50,8 @@ REQUIRED_REGIONS = {
     "hot-path:histogram_record": "Histogram::Record",
     "hot-path:branch_kernel": "the branch-and-bound inner loop",
     "hot-path:support_peel": "the support peels' per-pop loop (PeelEdges)",
+    "hot-path:masked_coloring": "the masked greedy coloring loop",
+    "hot-path:masked_orientation_rows": "the masked orientation row build",
 }
 
 RAW_PRIMITIVES = re.compile(

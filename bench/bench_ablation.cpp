@@ -1,5 +1,5 @@
-// Ablation study (DESIGN.md §5, extra): isolates the contribution of each
-// design choice the paper stacks into MaxRFC —
+// Ablation study (an extension, not a paper exhibit): isolates the
+// contribution of each design choice the paper stacks into MaxRFC —
 //   (a) reduction stages: none / EnColorfulCore only / +ColorfulSup /
 //       +EnColorfulSup (the full pipeline);
 //   (b) upper-bound depth: bounds applied at the component root only vs

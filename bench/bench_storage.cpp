@@ -1,10 +1,9 @@
 // bench_storage: the durable storage subsystem (src/storage).
 //
-// Part 1 — load formats. The same graph saved three ways (text edge list +
-// attribute file, FCG1 edge-array binary, FCG2 mmap CSR container), loaded
-// back repeatedly (best of N to shed fs-cache noise):
+// Part 1 — load formats. The same graph saved two ways (text edge list +
+// attribute file, FCG2 mmap CSR container), loaded back repeatedly (best of
+// N to shed fs-cache noise):
 //   - text parse tokenizes, normalizes and sorts everything;
-//   - FCG1 skips tokenizing but still rebuilds the CSR arrays;
 //   - FCG2 is mmap + checksum verify + zero-copy adopt.
 //
 // Part 2 — kill/recover. A StorageManager-backed service persists a graph,
@@ -24,8 +23,7 @@
 // survived at its exact fingerprint.
 //
 // Asserts (exit non-zero otherwise):
-//   - all three formats load the same graph (fingerprint-checked for the
-//     binary formats);
+//   - both formats load the same graph (fingerprint-checked for FCG2);
 //   - mmap-CSR (FCG2) load is >= 5x faster than the text parse;
 //   - the recovered service serves the identical verified clique at the
 //     identical epoch, from cache (no search);
@@ -229,23 +227,19 @@ int main() {
 
   bool ok = true;
 
-  // ---- Part 1: text vs FCG1 vs mmap-CSR FCG2 load. -----------------------
+  // ---- Part 1: text vs mmap-CSR FCG2 load. -------------------------------
   ok &= Check(SaveEdgeList(g, path("g.txt")).ok() &&
                   SaveAttributes(g, path("g.attrs")).ok() &&
-                  SaveBinaryGraph(g, path("g.fcg")).ok() &&
                   storage::SaveFcg2(g, path("g.fcg2")).ok(),
-              "saving the three formats failed");
+              "saving the two formats failed");
 
   EdgeListOptions text_options;
   text_options.remap_ids = false;  // keep labels identical to the saver's
-  AttributedGraph text_loaded, fcg1_loaded, fcg2_loaded;
+  AttributedGraph text_loaded, fcg2_loaded;
   double text_ms = BestMs(kLoadReps, [&] {
     ok &= LoadAttributedGraph(path("g.txt"), path("g.attrs"), text_options,
                               &text_loaded)
               .ok();
-  });
-  double fcg1_ms = BestMs(kLoadReps, [&] {
-    ok &= LoadBinaryGraph(path("g.fcg"), &fcg1_loaded).ok();
   });
   double fcg2_ms = BestMs(kLoadReps, [&] {
     ok &= storage::LoadFcg2(path("g.fcg2"), &fcg2_loaded).ok();
@@ -254,16 +248,12 @@ int main() {
   ok &= Check(text_loaded.num_vertices() == g.num_vertices() &&
                   text_loaded.num_edges() == g.num_edges(),
               "text round trip changed the graph");
-  ok &= Check(GraphFingerprint(fcg1_loaded) == fp,
-              "FCG1 round trip changed the fingerprint");
   ok &= Check(GraphFingerprint(fcg2_loaded) == fp,
               "FCG2 round trip changed the fingerprint");
 
-  double fcg1_speedup = fcg1_ms > 0 ? text_ms / fcg1_ms : 0.0;
   double fcg2_speedup = fcg2_ms > 0 ? text_ms / fcg2_ms : 0.0;
-  std::printf("  load: text %.2f ms | FCG1 %.2f ms (%.1fx) | FCG2 mmap %.3f "
-              "ms (%.1fx)\n",
-              text_ms, fcg1_ms, fcg1_speedup, fcg2_ms, fcg2_speedup);
+  std::printf("  load: text %.2f ms | FCG2 mmap %.3f ms (%.1fx)\n", text_ms,
+              fcg2_ms, fcg2_speedup);
   ok &= Check(fcg2_speedup >= 5.0, "FCG2 mmap load < 5x faster than text");
 
   // ---- Part 2: kill/recover. ---------------------------------------------
@@ -431,9 +421,7 @@ int main() {
   bench::EmitBenchJson(
       "storage",
       {{"text_load_ms", text_ms},
-       {"fcg1_load_ms", fcg1_ms},
        {"fcg2_load_ms", fcg2_ms},
-       {"fcg1_vs_text_speedup", fcg1_speedup},
        {"fcg2_vs_text_speedup", fcg2_speedup},
        {"recover_ms", recover_ms},
        {"wal_records_replayed", static_cast<double>(wal_replayed)},

@@ -4,17 +4,13 @@
 //   weak fair    (counts >= k)
 //   relative fair (counts >= k, diff <= delta; the paper's model)
 //   strong fair  (counts equal, >= k)
-//   alternating Branch          (the paper's Algorithm 3 as printed;
-//                                fast but incomplete — see DESIGN.md §2.2)
-// Quantifies what each fairness constraint costs on top of the previous one
-// and how often the printed branching loses optimality.
+// Quantifies what each fairness constraint costs on top of the previous one.
 
 #include <cstdio>
 
 #include "bench_util.h"
 #include "common/logging.h"
 #include "common/timer.h"
-#include "core/alternating_search.h"
 #include "core/fair_variants.h"
 #include "core/max_clique.h"
 
@@ -64,23 +60,6 @@ void RunDataset(const DatasetSpec& spec) {
                 static_cast<long long>(r.clique.attr_counts.a()),
                 static_cast<long long>(r.clique.attr_counts.b()),
                 static_cast<long long>(r.stats.total_micros));
-  }
-  {
-    // Run after reductions, as Algorithm 2 does. Size 0 means the printed
-    // alternation + order filter could not realize any fair clique under
-    // the CalColorOD order — the incompleteness DESIGN.md §2.2 analyzes,
-    // observed in the wild.
-    WallTimer t;
-    ReductionPipelineResult reduced =
-        ReduceForFairClique(g, k, ReductionOptions{});
-    AlternatingSearchResult r = AlternatingMaxFairClique(
-        reduced.reduced, {k, delta}, /*node_limit=*/5'000'000);
-    std::printf("%-26s %8zu %8lld %8lld %12lld%s\n",
-                "alternating (as printed)", r.clique.size(),
-                static_cast<long long>(r.clique.attr_counts.a()),
-                static_cast<long long>(r.clique.attr_counts.b()),
-                static_cast<long long>(t.ElapsedMicros()),
-                r.completed ? "" : " (INF)");
   }
   std::printf("\n");
 }

@@ -9,7 +9,6 @@
 //   strong   <graph> [attrs] --k K                 maximum strong fair clique
 //   enum     <graph> [attrs] --k K --delta D [--limit N]
 //                                                  maximal relative fair cliques
-//   multi    <graph> <labels> --k K --delta D     d-ary attribute search
 //   generate <dataset> <edge_out> <attr_out>       write a stand-in dataset
 //
 // <graph> is either a built-in stand-in name (see `generate` list) or an
@@ -24,9 +23,6 @@
 #include "core/fair_variants.h"
 #include "core/fairclique.h"
 #include "datasets/datasets.h"
-#include "multiattr/multi_fair_clique.h"
-
-#include <fstream>
 
 namespace {
 
@@ -43,7 +39,7 @@ struct Args {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: fairclique_cli <stats|reduce|search|weak|strong|enum|multi> "
+               "usage: fairclique_cli <stats|reduce|search|weak|strong|enum> "
                "<graph> [attrs] [--k K] [--delta D] [--limit N]\n"
                "       fairclique_cli generate <dataset> <edge_out> "
                "<attr_out>\n"
@@ -119,55 +115,6 @@ int RunStats(const Args& args) {
   std::printf("%s", FormatGraphStats(ComputeGraphStats(g)).c_str());
   Coloring coloring = GreedyColoring(g);
   std::printf("greedy colors:       %d\n", coloring.num_colors);
-  return 0;
-}
-
-// `multi`: d-ary attribute search. Labels come from a file with lines
-// "vertex label" (labels 0..d-1); d is inferred as max label + 1.
-int RunMulti(const Args& args) {
-  if (args.attrs.empty()) {
-    std::fprintf(stderr, "multi requires a label file (vertex label lines)\n");
-    return 2;
-  }
-  AttributedGraph g;
-  Args graph_only = args;
-  graph_only.attrs.clear();
-  if (!LoadGraph(graph_only, &g)) return 1;
-
-  std::ifstream in(args.attrs);
-  if (!in) {
-    std::fprintf(stderr, "cannot open label file %s\n", args.attrs.c_str());
-    return 1;
-  }
-  std::vector<uint8_t> labels(g.num_vertices(), 0);
-  int num_labels = 1;
-  uint64_t v, l;
-  while (in >> v >> l) {
-    if (v >= g.num_vertices() || l > 255) {
-      std::fprintf(stderr, "label line out of range: %llu %llu\n",
-                   static_cast<unsigned long long>(v),
-                   static_cast<unsigned long long>(l));
-      return 1;
-    }
-    labels[v] = static_cast<uint8_t>(l);
-    num_labels = std::max(num_labels, static_cast<int>(l) + 1);
-  }
-  MultiAttrGraph mg(g, labels, num_labels);
-  MultiFairnessParams params{args.k, args.delta};
-  MultiSearchResult r = FindMaximumMultiFairClique(mg, params);
-  if (r.clique.empty()) {
-    std::printf("no multi-fair clique for k=%d delta=%d over %d labels\n",
-                args.k, args.delta, num_labels);
-    return 0;
-  }
-  std::printf("size %zu, per-label counts:", r.clique.size());
-  for (int i = 0; i < num_labels; ++i) {
-    std::printf(" %lld", static_cast<long long>(r.label_counts[i]));
-  }
-  std::printf("\nmembers:");
-  for (VertexId m : r.clique) std::printf(" %u", m);
-  std::printf("\nverified: %s\n",
-              IsMultiFairClique(mg, r.clique, params) ? "OK" : "FAILED");
   return 0;
 }
 
@@ -272,6 +219,5 @@ int main(int argc, char** argv) {
   if (args.command == "weak") return RunSearch(args, "weak");
   if (args.command == "strong") return RunSearch(args, "strong");
   if (args.command == "enum") return RunEnum(args);
-  if (args.command == "multi") return RunMulti(args);
   return Usage();
 }

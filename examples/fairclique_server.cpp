@@ -20,8 +20,7 @@
 // Commands:
 //   {"cmd":"load","name":"g","dataset":"dblp-s","scale":1.0}
 //   {"cmd":"load","name":"g","path":"edges.txt","attrs":"attr.txt"}
-//   {"cmd":"load","name":"g","path":"graph.fcg","format":"binary"}
-//   {"cmd":"load","name":"g","path":"graph.fcg2","format":"fcg2"}
+//   {"cmd":"load","name":"g","path":"graph.fcg2"}
 //   {"cmd":"load","name":"g","path":"graph.metis","format":"metis"}
 //   {"cmd":"query","graph":"g","k":3,"delta":1}             synchronous
 //   {"cmd":"query","graph":"g","k":3,"delta":1,"preset":"baseline",
@@ -34,8 +33,7 @@
 //    "remove_edges":"1-2","add_vertices":"a,b","set_attrs":"4:b"}
 //                        apply one batch, advance the epoch, migrate caches
 //   {"cmd":"snapshot","graph":"g"}             report the current epoch
-//   {"cmd":"snapshot","graph":"g","path":"g.fcg"}  also save FCG1 binary
-//   {"cmd":"snapshot","graph":"g","path":"g.fcg2","format":"fcg2"}
+//   {"cmd":"snapshot","graph":"g","path":"g.fcg2"}  also save it as FCG2
 //   {"cmd":"persist"}    write the result-cache warm file to the data dir
 //   {"cmd":"restore"}    recover data-dir graphs not currently registered
 //   {"cmd":"metrics"}    alias of stats (includes storage counters)
@@ -72,6 +70,11 @@
 // reduction pipeline, "explain":true to attach an EXPLAIN plan (reduction
 // stages, component engines, prune breakdown, cache decisions) to the
 // response under "plan".
+//
+// load fields: format = auto|edgelist|fcg2|metis (default auto, which
+// sniffs the FCG2 magic and METIS's leading '%'); attrs names "v attr"
+// lines by the edge list's own vertex ids. snapshot's optional path always
+// writes FCG2, which a later load reads back through the sniff.
 //
 // update fields (all optional, applied as ONE atomic batch): add_vertices is
 // a comma list of attributes ("a,b"); add_edges / remove_edges are comma
@@ -266,7 +269,6 @@ struct Server {
       std::string fmt = GetString(obj, "format", "auto");
       GraphFormat format = GraphFormat::kAuto;
       if (fmt == "edgelist") format = GraphFormat::kEdgeList;
-      else if (fmt == "binary") format = GraphFormat::kBinary;
       else if (fmt == "fcg2") format = GraphFormat::kBinaryV2;
       else if (fmt == "metis") format = GraphFormat::kMetis;
       else if (fmt != "auto") return PrintError(id, "load: bad format " + fmt);
@@ -672,14 +674,12 @@ struct Server {
     }
     std::string path = GetString(obj, "path");
     if (!path.empty()) {
-      std::string fmt = GetString(obj, "format", "binary");
-      Status status;
-      if (fmt == "binary") status = SaveBinaryGraph(*entry->graph, path);
-      else if (fmt == "fcg2") status = storage::SaveFcg2(*entry->graph, path);
-      else return PrintError(id, "snapshot: bad format " + fmt);
-      // An unwritable path is the client's error to hear about: both savers
-      // write atomically (tmp + rename), so a failure here means nothing
+      std::string fmt = GetString(obj, "format", "fcg2");
+      if (fmt != "fcg2") return PrintError(id, "snapshot: bad format " + fmt);
+      // An unwritable path is the client's error to hear about: the saver
+      // writes atomically (tmp + rename), so a failure here means nothing
       // was saved — report it instead of answering ok with no file.
+      Status status = storage::SaveFcg2(*entry->graph, path);
       if (!status.ok()) return PrintError(id, status.ToString());
     }
     JsonWriter w;

@@ -38,8 +38,8 @@ struct UpperBoundConfig {
 /// max(2k, |R*|+1)).
 ///
 /// Where the paper's printed lemma is unsound as stated (Lemmas 9, 10, 11,
-/// 12, 13 — see DESIGN.md §2.3), the implementation uses the corrected sound
-/// form and documents the derivation inline; property tests in
+/// 12, 13), the implementation uses the corrected sound form and documents
+/// the derivation inline at that bound; property tests in
 /// tests/upper_bounds_test.cpp verify soundness against an exact oracle.
 
 /// Lemma 5: ubs = |R| + |C| = |V(G')|.

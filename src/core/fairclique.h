@@ -18,7 +18,6 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "common/timer.h"
-#include "core/alternating_search.h"
 #include "core/enumeration.h"
 #include "core/fair_variants.h"
 #include "core/heuristics.h"
@@ -29,7 +28,6 @@
 #include "core/verifier.h"
 #include "dynamic/dynamic_graph.h"
 #include "dynamic/incremental_search.h"
-#include "graph/binary_io.h"
 #include "graph/coloring.h"
 #include "graph/cores.h"
 #include "graph/fingerprint.h"

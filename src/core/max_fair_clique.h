@@ -152,8 +152,10 @@ struct SearchResult {
 /// Implementation: reduction pipeline -> per-connected-component ordered
 /// branch-and-bound in colorful-core peeling order (CalColorOD), checking
 /// fairness at every node and applying the paper's prunes in their sound
-/// forms (DESIGN.md §2.2). Exact: verified against the independent
-/// Bron-Kerbosch oracle in tests/max_fair_clique_test.cpp.
+/// forms (bounds/upper_bounds.h). It does not alternate attributes the way
+/// the printed Algorithm 3 does: that order filter can miss the optimum, as
+/// the K4 case in tests/max_fair_clique_test.cpp shows. Exact: verified
+/// against the independent Bron-Kerbosch oracle in the same file.
 ///
 /// Since the staged-plan refactor this is a thin wrapper over
 /// core/prepared_graph.h: PrepareGraph (Reduce + Decompose, delta-

@@ -19,8 +19,8 @@ AttrCounts CountAttributes(const AttributedGraph& g,
 
 /// True when `vertices` is a clique satisfying fairness condition (i) of
 /// Definition 1 for (k, delta): both attribute counts >= k and their
-/// difference <= delta. Following the paper's Example 1, maximality is not
-/// required for the maximum search problem (see DESIGN.md §2.1).
+/// difference <= delta. Maximality is not required: in the paper's Example 1
+/// the maximum fair clique is 7 vertices of an 8-clique that is not fair.
 bool IsFairClique(const AttributedGraph& g,
                   std::span<const VertexId> vertices,
                   const FairnessParams& params);

@@ -12,7 +12,7 @@ namespace fairclique {
 /// Deterministic synthetic stand-ins for the paper's six evaluation datasets
 /// (Table I). The real graphs are downloaded from SNAP/network-repository;
 /// this offline reproduction generates graphs with the same structural roles
-/// at laptop/CI scale (DESIGN.md §3):
+/// at laptop/CI scale:
 ///
 ///   themarker-s  dense social network   (Chung-Lu, heavy tail, high dmax)
 ///   google-s     sparse web graph       (Barabasi-Albert)

@@ -12,7 +12,7 @@ namespace fairclique {
 /// Synthetic graph generators. All are deterministic given the Rng seed and
 /// produce attribute-less graphs (every vertex kA); combine with the
 /// Assign*Attributes functions below. They are the substitution for the
-/// paper's six downloaded datasets (see DESIGN.md §3).
+/// paper's six downloaded datasets (see datasets/datasets.h).
 
 /// G(n, p): every pair independently an edge with probability p. Uses
 /// geometric skipping, O(n + m) expected.
@@ -70,7 +70,7 @@ AttributedGraph AssignAttributesBernoulli(const AttributedGraph& g, double p_a,
 /// Aminer's gender field: seeds each connected region via a random walk so
 /// that neighbors agree with probability `homophily`, and the overall
 /// fraction of kA is approximately `frac_a`. Substitution for the real
-/// attributed Aminer dataset (DESIGN.md §3).
+/// attributed Aminer dataset (aminer-s in datasets/datasets.h).
 AttributedGraph AssignAttributesHomophily(const AttributedGraph& g,
                                           double frac_a, double homophily,
                                           Rng& rng);

@@ -1,5 +1,6 @@
 #include "service/graph_registry.h"
 
+#include <cstring>
 #include <fstream>
 #include <utility>
 #include <vector>
@@ -8,7 +9,6 @@
 #include "core/verifier.h"
 #include "obs/crash_handler.h"
 #include "obs/event_journal.h"
-#include "graph/binary_io.h"
 #include "graph/fingerprint.h"
 #include "graph/io.h"
 #include "storage/fcg2.h"
@@ -17,8 +17,8 @@ namespace fairclique {
 
 namespace {
 
-/// Resolves kAuto by sniffing the first bytes: the FCG1/FCG2 magics pick
-/// the binary containers, a leading '%' (METIS's conventional comment and
+/// Resolves kAuto by sniffing the first bytes: the FCG2 magic picks the
+/// binary container, a leading '%' (METIS's conventional comment and
 /// the only format here that uses it as the *first* byte by convention)
 /// picks METIS, everything else is a text edge list. IO failures fall
 /// through to the edge-list loader, which reports them with a proper
@@ -27,10 +27,9 @@ GraphFormat SniffFormat(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   char magic[4] = {0, 0, 0, 0};
   in.read(magic, 4);
-  if (in.gcount() == 4 && magic[0] == 'F' && magic[1] == 'C' &&
-      magic[2] == 'G') {
-    if (magic[3] == '1') return GraphFormat::kBinary;
-    if (magic[3] == '2') return GraphFormat::kBinaryV2;
+  if (in.gcount() == 4 &&
+      std::memcmp(magic, storage::kFcg2Magic, sizeof(magic)) == 0) {
+    return GraphFormat::kBinaryV2;
   }
   if (in.gcount() >= 1 && magic[0] == '%') return GraphFormat::kMetis;
   return GraphFormat::kEdgeList;
@@ -74,16 +73,12 @@ Status GraphRegistry::Load(const std::string& name, const std::string& path,
   if (format == GraphFormat::kAuto) format = SniffFormat(path);
 
   AttributedGraph g;
-  if (format == GraphFormat::kBinary || format == GraphFormat::kBinaryV2) {
+  if (format == GraphFormat::kBinaryV2) {
     if (!attribute_path.empty()) {
       return Status::InvalidArgument(
           "binary graphs carry attributes inline; no attribute file expected");
     }
-    if (format == GraphFormat::kBinary) {
-      FAIRCLIQUE_RETURN_NOT_OK(LoadBinaryGraph(path, &g));
-    } else {
-      FAIRCLIQUE_RETURN_NOT_OK(storage::LoadFcg2(path, &g));
-    }
+    FAIRCLIQUE_RETURN_NOT_OK(storage::LoadFcg2(path, &g));
   } else if (format == GraphFormat::kMetis) {
     FAIRCLIQUE_RETURN_NOT_OK(LoadMetisGraph(path, &g));
     if (!attribute_path.empty()) {

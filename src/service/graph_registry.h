@@ -19,7 +19,7 @@
 namespace fairclique {
 
 /// File format accepted by GraphRegistry::Load. kAuto sniffs the first
-/// bytes: the FCG1/FCG2 magics select the binary containers, a leading '%'
+/// bytes: the FCG2 magic selects the binary container, a leading '%'
 /// selects METIS (its conventional comment marker; SNAP-style edge lists
 /// comment with '#'), anything else is an edge list. The text formats are
 /// genuinely ambiguous (a METIS header "n m" parses as an edge too), so
@@ -29,9 +29,8 @@ namespace fairclique {
 enum class GraphFormat {
   kAuto,
   kEdgeList,  // "u v" lines + optional "v attr" attribute file
-  kBinary,    // FCG1 container (graph/binary_io.h)
   kBinaryV2,  // FCG2 mmap container (storage/fcg2.h)
-  kMetis,     // METIS adjacency format (graph/binary_io.h)
+  kMetis,     // METIS adjacency format (graph/io.h)
 };
 
 /// A named, immutable graph shared by every query that references it.
@@ -103,8 +102,8 @@ class GraphRegistry {
   void AttachStorage(storage::StorageManager* storage);
 
   /// Loads a graph file and registers it under `name`. For kEdgeList an
-  /// optional attribute file ("v attr" lines) may be given; binary FCG1
-  /// files carry their attributes inline. Fails with InvalidArgument when
+  /// optional attribute file ("v attr" lines) may be given; FCG2 files
+  /// carry their attributes inline. Fails with InvalidArgument when
   /// `name` is already registered and with the loader's status on bad input.
   Status Load(const std::string& name, const std::string& path,
               const std::string& attribute_path = "",

@@ -9,9 +9,9 @@
 namespace fairclique {
 namespace storage {
 
-/// FCG2: the sectioned, mmap-friendly snapshot container. Where FCG1
-/// (graph/binary_io.h) stores the edge list and rebuilds the CSR arrays on
-/// every load, FCG2 stores the CSR arrays themselves, 8-byte aligned, each
+/// FCG2: the sectioned, mmap-friendly snapshot container. Where a text
+/// edge list is parsed and its CSR arrays rebuilt on every load, FCG2
+/// stores the CSR arrays themselves, 8-byte aligned, each
 /// section length- and checksum-framed, so a load is mmap + verify + adopt
 /// (AttributedGraph::FromCsr) — no parsing, no sorting, no allocation
 /// proportional to the graph.

@@ -1,5 +1,5 @@
 // Dedicated tests for the content fingerprint (graph/fingerprint.h): load
-//-path independence (edge-list text vs FCG1 binary), sensitivity to every
+//-path independence (edge-list text vs FCG2 binary), sensitivity to every
 // kind of content perturbation, and label sensitivity.
 
 #include <gtest/gtest.h>
@@ -9,10 +9,10 @@
 #include <string>
 #include <vector>
 
-#include "graph/binary_io.h"
 #include "graph/fingerprint.h"
 #include "graph/graph.h"
 #include "graph/io.h"
+#include "storage/fcg2.h"
 #include "test_util.h"
 
 namespace fairclique {
@@ -39,10 +39,10 @@ TEST(FingerprintIoTest, EdgeListAndBinaryLoadsAgree) {
 
   const std::string edge_path = TempPath("fp_edges.txt");
   const std::string attr_path = TempPath("fp_attrs.txt");
-  const std::string bin_path = TempPath("fp_graph.fcg");
+  const std::string bin_path = TempPath("fp_graph.fcg2");
   ASSERT_TRUE(SaveEdgeList(g, edge_path).ok());
   ASSERT_TRUE(SaveAttributes(g, attr_path).ok());
-  ASSERT_TRUE(SaveBinaryGraph(g, bin_path).ok());
+  ASSERT_TRUE(storage::SaveFcg2(g, bin_path).ok());
 
   // Text loading with id remapping disabled preserves labels, so both load
   // paths must reproduce the exact content and hence the fingerprint.
@@ -54,7 +54,7 @@ TEST(FingerprintIoTest, EdgeListAndBinaryLoadsAgree) {
   EXPECT_EQ(GraphFingerprint(from_text), fp);
 
   AttributedGraph from_binary;
-  ASSERT_TRUE(LoadBinaryGraph(bin_path, &from_binary).ok());
+  ASSERT_TRUE(storage::LoadFcg2(bin_path, &from_binary).ok());
   EXPECT_EQ(GraphFingerprint(from_binary), fp);
 
   std::remove(edge_path.c_str());

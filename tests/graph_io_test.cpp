@@ -5,6 +5,8 @@
 #include <fstream>
 #include <string>
 
+#include "core/max_fair_clique.h"
+#include "datasets/datasets.h"
 #include "graph/io.h"
 #include "test_util.h"
 
@@ -54,12 +56,16 @@ TEST_F(IoTest, SkipsCommentsAndBlankLines) {
 }
 
 TEST_F(IoTest, RemapsSparseIds) {
-  std::string path = WriteFile("g.txt", "1000000 5\n5 70000\n");
-  AttributedGraph g;
-  EdgeListOptions opts;  // remap on by default
-  ASSERT_TRUE(LoadEdgeList(path, opts, &g).ok());
-  EXPECT_EQ(g.num_vertices(), 3u);
-  EXPECT_EQ(g.num_edges(), 2u);
+  // Any 64-bit id is legal under remapping, 2^64 - 1 included.
+  for (const char* content :
+       {"1000000 5\n5 70000\n", "18446744073709551615 5\n5 70000\n"}) {
+    std::string path = WriteFile("g.txt", content);
+    AttributedGraph g;
+    EdgeListOptions opts;  // remap on by default
+    ASSERT_TRUE(LoadEdgeList(path, opts, &g).ok()) << content;
+    EXPECT_EQ(g.num_vertices(), 3u);
+    EXPECT_EQ(g.num_edges(), 2u);
+  }
 }
 
 TEST_F(IoTest, DuplicateAndSelfLoopEdgesNormalized) {
@@ -95,6 +101,58 @@ TEST_F(IoTest, NegativeIdIsInvalidArgument) {
   std::string path = WriteFile("g.txt", "0 -3\n");
   AttributedGraph g;
   EXPECT_TRUE(LoadEdgeList(path, {}, &g).IsInvalidArgument());
+}
+
+TEST_F(IoTest, OverflowingIdIsInvalidArgument) {
+  // 2^64 + 1 must not wrap to 1.
+  std::string path = WriteFile("g.txt", "0 1\n18446744073709551617 2\n");
+  AttributedGraph g;
+  Status s = LoadEdgeList(path, {}, &g);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.message().find(":2"), std::string::npos) << s.ToString();
+
+  std::string gpath = WriteFile("ok.txt", "0 1\n");
+  std::string apath = WriteFile("a.txt", "18446744073709551617 b\n");
+  EXPECT_TRUE(LoadAttributedGraph(gpath, apath, {}, &g).IsInvalidArgument());
+}
+
+TEST_F(IoTest, AttributeFileFollowsRemappedIds) {
+  // First appearance maps file ids 0, 5, 1, 2 to 0, 1, 2, 3. File id 9 is
+  // named only by the attribute file and becomes isolated vertex 4.
+  std::string gpath = WriteFile("g.txt", "0 5\n1 2\n5 1\n");
+  std::string apath = WriteFile("a.txt", "1 b\n9 b\n");
+  AttributedGraph g;
+  ASSERT_TRUE(LoadAttributedGraph(gpath, apath, {}, &g).ok());
+  ASSERT_EQ(g.num_vertices(), 5u);
+  EXPECT_EQ(g.num_edges(), 3u);
+  EXPECT_EQ(g.attribute(1), Attribute::kA);  // file id 5
+  EXPECT_EQ(g.attribute(2), Attribute::kB);  // file id 1
+  EXPECT_EQ(g.attribute(4), Attribute::kB);  // file id 9
+  EXPECT_EQ(g.degree(4), 0u);
+  EXPECT_EQ(g.attribute_counts().b(), 2);
+}
+
+TEST_F(IoTest, SavedStandInReloadsWithDefaultOptions) {
+  for (const char* name : {"dblp-s", "themarker-s"}) {
+    SCOPED_TRACE(name);
+    const DatasetSpec spec = DatasetByName(name);
+    AttributedGraph g = LoadDataset(name);
+    std::string gpath = (dir_ / "standin.txt").string();
+    std::string apath = (dir_ / "standin_attr.txt").string();
+    ASSERT_TRUE(SaveEdgeList(g, gpath).ok());
+    ASSERT_TRUE(SaveAttributes(g, apath).ok());
+
+    AttributedGraph loaded;
+    ASSERT_TRUE(LoadAttributedGraph(gpath, apath, {}, &loaded).ok());
+    EXPECT_EQ(loaded.num_vertices(), g.num_vertices());
+    EXPECT_EQ(loaded.num_edges(), g.num_edges());
+    EXPECT_EQ(loaded.attribute_counts().a(), g.attribute_counts().a());
+    EXPECT_EQ(loaded.attribute_counts().b(), g.attribute_counts().b());
+    const SearchOptions options = FullOptions(
+        spec.default_k, spec.default_delta, ExtraBound::kColorfulPath);
+    EXPECT_EQ(FindMaximumFairClique(loaded, options).clique.size(),
+              FindMaximumFairClique(g, options).clique.size());
+  }
 }
 
 TEST_F(IoTest, AttributesParseBothTokenStyles) {
@@ -141,8 +199,8 @@ TEST_F(IoTest, SaveLoadRoundTripPreservesGraph) {
   EdgeListOptions opts;
   opts.remap_ids = false;
   ASSERT_TRUE(LoadAttributedGraph(gpath, apath, opts, &loaded).ok());
-  // Vertex count can differ when trailing vertices are isolated; compare
-  // edges and attributes over the loaded prefix.
+  // The attribute file names every vertex, isolated ones included.
+  ASSERT_EQ(loaded.num_vertices(), g.num_vertices());
   EXPECT_EQ(loaded.num_edges(), g.num_edges());
   EXPECT_EQ(testing_util::EdgesOf(loaded), testing_util::EdgesOf(g));
   for (VertexId v = 0; v < loaded.num_vertices(); ++v) {
@@ -153,6 +211,71 @@ TEST_F(IoTest, SaveLoadRoundTripPreservesGraph) {
 TEST_F(IoTest, SaveToUnwritablePathFails) {
   AttributedGraph g = RandomAttributedGraph(5, 0.5, 1);
   EXPECT_TRUE(SaveEdgeList(g, "/nonexistent_dir_xyz/out.txt").IsIOError());
+}
+
+// ----------------------------------------------------------------- METIS --
+
+TEST_F(IoTest, MetisBasicTriangle) {
+  // 3 vertices, 3 edges; 1-based adjacency lines.
+  std::string path = WriteFile("tri.metis", "3 3\n2 3\n1 3\n1 2\n");
+  AttributedGraph g;
+  ASSERT_TRUE(LoadMetisGraph(path, &g).ok());
+  EXPECT_EQ(g.num_vertices(), 3u);
+  EXPECT_EQ(g.num_edges(), 3u);
+  EXPECT_TRUE(g.HasEdge(0, 1));
+  EXPECT_TRUE(g.HasEdge(1, 2));
+  EXPECT_TRUE(g.HasEdge(0, 2));
+}
+
+TEST_F(IoTest, MetisSkipsCommentLines) {
+  std::string path =
+      WriteFile("c.metis", "% a comment\n2 1\n% another\n2\n1\n");
+  AttributedGraph g;
+  ASSERT_TRUE(LoadMetisGraph(path, &g).ok());
+  EXPECT_EQ(g.num_edges(), 1u);
+}
+
+TEST_F(IoTest, MetisIsolatedVertexLine) {
+  // Vertex 2 has no neighbors: empty line.
+  std::string path = WriteFile("iso.metis", "3 1\n3\n\n1\n");
+  AttributedGraph g;
+  ASSERT_TRUE(LoadMetisGraph(path, &g).ok());
+  EXPECT_EQ(g.num_vertices(), 3u);
+  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_EQ(g.degree(1), 0u);
+}
+
+TEST_F(IoTest, MetisRejectsWeightedFormat) {
+  std::string path = WriteFile("w.metis", "2 1 1\n2 5\n1 5\n");
+  AttributedGraph g;
+  EXPECT_TRUE(LoadMetisGraph(path, &g).IsInvalidArgument());
+}
+
+TEST_F(IoTest, MetisRejectsOutOfRangeNeighbor) {
+  std::string path = WriteFile("r.metis", "2 1\n5\n1\n");
+  AttributedGraph g;
+  EXPECT_TRUE(LoadMetisGraph(path, &g).IsOutOfRange());
+}
+
+TEST_F(IoTest, MetisRejectsTruncatedFile) {
+  std::string path = WriteFile("t.metis", "3 2\n2\n");
+  AttributedGraph g;
+  EXPECT_TRUE(LoadMetisGraph(path, &g).IsCorruption());
+}
+
+TEST_F(IoTest, MetisRejectsNonNumericToken) {
+  std::string path = WriteFile("n.metis", "2 1\n2 x\n1\n");
+  AttributedGraph g;
+  EXPECT_TRUE(LoadMetisGraph(path, &g).IsInvalidArgument());
+}
+
+TEST_F(IoTest, MetisHeaderPastVertexIdRangeIsInvalidArgument) {
+  // n = 2^32 + 1 would narrow to a 1-vertex builder.
+  std::string path = WriteFile("big.metis", "%\n4294967297 1\n2\n1\n");
+  AttributedGraph g;
+  EXPECT_TRUE(LoadMetisGraph(path, &g).IsInvalidArgument());
+  path = WriteFile("bigm.metis", "2 4294967296\n2\n1\n");
+  EXPECT_TRUE(LoadMetisGraph(path, &g).IsInvalidArgument());
 }
 
 }  // namespace

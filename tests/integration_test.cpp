@@ -75,12 +75,12 @@ TEST(IntegrationTest, BinaryRoundTripThroughSearch) {
       std::filesystem::temp_directory_path() /
       ("fairclique_integ_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
-  std::string path = (dir / "graph.fcg").string();
+  std::string path = (dir / "graph.fcg2").string();
 
   AttributedGraph g = LoadDataset("flixster-s", 0.3);
-  ASSERT_TRUE(SaveBinaryGraph(g, path).ok());
+  ASSERT_TRUE(storage::SaveFcg2(g, path).ok());
   AttributedGraph loaded;
-  ASSERT_TRUE(LoadBinaryGraph(path, &loaded).ok());
+  ASSERT_TRUE(storage::LoadFcg2(path, &loaded).ok());
 
   SearchResult orig =
       FindMaximumFairClique(g, FullOptions(3, 2, ExtraBound::kColorfulPath));
@@ -121,25 +121,6 @@ TEST(IntegrationTest, StatsAreInternallyConsistentOnDatasets) {
     EXPECT_LE(s.global_clustering, 1.0);
     EXPECT_GE(s.same_attribute_edge_fraction, 0.0);
     EXPECT_LE(s.same_attribute_edge_fraction, 1.0);
-  }
-}
-
-TEST(IntegrationTest, AlternatingHeuristicAtScale) {
-  AttributedGraph g = LoadDataset("themarker-s", 0.5);
-  DatasetSpec spec = DatasetByName("themarker-s");
-  FairnessParams params{spec.default_k, spec.default_delta};
-  // Reduce first (the printed algorithm also runs after reductions).
-  ReductionPipelineResult reduced =
-      ReduceForFairClique(g, params.k, ReductionOptions{});
-  AlternatingSearchResult alt =
-      AlternatingMaxFairClique(reduced.reduced, params, 5'000'000);
-  SearchResult exact = FindMaximumFairClique(
-      g, FullOptions(params.k, params.delta, ExtraBound::kColorfulPath));
-  ASSERT_TRUE(exact.stats.completed);
-  EXPECT_LE(alt.clique.size(), exact.clique.size());
-  if (!alt.clique.empty()) {
-    EXPECT_TRUE(
-        IsFairClique(reduced.reduced, alt.clique.vertices, params));
   }
 }
 

@@ -64,6 +64,16 @@ TEST(MaxFairCliqueTest, DeltaZeroForcesExactBalance) {
   SearchResult r = FindMaximumFairClique(g, BaselineOptions(1, 0));
   EXPECT_EQ(r.clique.size(), 4u);
   EXPECT_EQ(r.clique.attr_counts.Diff(), 0);
+
+  // K4 "aabb" at k=2, delta=0: the whole K4 is the answer. The paper's
+  // Algorithm 3 as printed (alternate the attribute, keep only candidates
+  // later in the colour order) cannot reach it under the order a, a, b, b.
+  AttributedGraph k4 =
+      MakeGraph("aabb", {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}});
+  for (const SearchOptions& options :
+       {BaselineOptions(2, 0), FullOptions(2, 0, ExtraBound::kColorfulPath)}) {
+    EXPECT_EQ(FindMaximumFairClique(k4, options).clique.size(), 4u);
+  }
 }
 
 TEST(MaxFairCliqueTest, InfeasibleKReturnsEmpty) {

@@ -11,12 +11,12 @@
 #include "core/max_fair_clique.h"
 #include "core/options_key.h"
 #include "datasets/datasets.h"
-#include "graph/binary_io.h"
 #include "graph/fingerprint.h"
 #include "graph/io.h"
 #include "service/graph_registry.h"
 #include "service/query_executor.h"
 #include "service/result_cache.h"
+#include "storage/fcg2.h"
 #include "test_util.h"
 
 namespace fairclique {
@@ -55,15 +55,15 @@ TEST(FingerprintTest, SensitiveToContent) {
 }
 
 TEST(FingerprintTest, BinaryRoundTripPreservesFingerprint) {
-  // FCG1 stores exact ids and attributes, so the reloaded graph is
+  // FCG2 stores exact ids and attributes, so the reloaded graph is
   // bit-identical content and must fingerprint identically. (Text edge
   // lists may remap ids on load; the fingerprint is label-sensitive by
   // design, because results report vertex ids.)
   AttributedGraph g = RandomAttributedGraph(60, 0.15, 0xF00D);
-  std::string bin_path = TempPath("fc_fp_graph.fcg");
-  ASSERT_TRUE(SaveBinaryGraph(g, bin_path).ok());
+  std::string bin_path = TempPath("fc_fp_graph.fcg2");
+  ASSERT_TRUE(storage::SaveFcg2(g, bin_path).ok());
   AttributedGraph from_bin;
-  ASSERT_TRUE(LoadBinaryGraph(bin_path, &from_bin).ok());
+  ASSERT_TRUE(storage::LoadFcg2(bin_path, &from_bin).ok());
   EXPECT_EQ(GraphFingerprint(g), GraphFingerprint(from_bin));
   std::remove(bin_path.c_str());
 }
@@ -149,10 +149,10 @@ TEST(GraphRegistryTest, LoadsTextAndBinaryWithAutoDetection) {
   AttributedGraph g = RandomAttributedGraph(40, 0.2, 0xBEEF);
   std::string edge_path = TempPath("fc_reg_edges.txt");
   std::string attr_path = TempPath("fc_reg_attrs.txt");
-  std::string bin_path = TempPath("fc_reg_graph.fcg");
+  std::string bin_path = TempPath("fc_reg_graph.fcg2");
   ASSERT_TRUE(SaveEdgeList(g, edge_path).ok());
   ASSERT_TRUE(SaveAttributes(g, attr_path).ok());
-  ASSERT_TRUE(SaveBinaryGraph(g, bin_path).ok());
+  ASSERT_TRUE(storage::SaveFcg2(g, bin_path).ok());
 
   GraphRegistry registry;
   ASSERT_TRUE(registry.Load("text", edge_path, attr_path).ok());

@@ -23,7 +23,6 @@
 #include "core/max_fair_clique.h"
 #include "core/verifier.h"
 #include "datasets/datasets.h"
-#include "graph/binary_io.h"
 #include "graph/fingerprint.h"
 #include "graph/io.h"
 #include "service/graph_registry.h"
@@ -1052,7 +1051,6 @@ TEST_F(StorageTest, RecoveryServesByteIdenticalVerifiedAnswers) {
 TEST_F(StorageTest, RegistryAutoSniffsAllFormats) {
   AttributedGraph g = MakeGraph("aabb", {{0, 1}, {1, 2}, {2, 3}, {0, 2}});
 
-  ASSERT_TRUE(SaveBinaryGraph(g, Path("g.fcg")).ok());
   ASSERT_TRUE(SaveFcg2(g, Path("g.fcg2")).ok());
   ASSERT_TRUE(SaveEdgeList(g, Path("g.txt")).ok());
   ASSERT_TRUE(SaveAttributes(g, Path("g.attrs")).ok());
@@ -1060,14 +1058,17 @@ TEST_F(StorageTest, RegistryAutoSniffsAllFormats) {
   WriteBytes(Path("g.metis"),
              "% a METIS file\n4 4\n% adjacency, 1-based\n2 3\n1 3\n1 2 4\n3\n");
 
+  // The retired FCG1 container is refused with a status, never misloaded.
+  WriteBytes(Path("g.fcg1"), std::string("FCG1\x04\0\0\0\x04\0\0\0", 12));
+
   GraphRegistry registry;
-  ASSERT_TRUE(registry.Load("fcg1", Path("g.fcg")).ok());
+  EXPECT_FALSE(registry.Load("fcg1", Path("g.fcg1")).ok());
+  EXPECT_EQ(registry.Get("fcg1"), nullptr);
   ASSERT_TRUE(registry.Load("fcg2", Path("g.fcg2")).ok());
   ASSERT_TRUE(registry.Load("text", Path("g.txt"), Path("g.attrs")).ok());
   ASSERT_TRUE(registry.Load("metis", Path("g.metis")).ok());
 
   const uint64_t fp = GraphFingerprint(g);
-  EXPECT_EQ(registry.Get("fcg1")->fingerprint, fp);
   EXPECT_EQ(registry.Get("fcg2")->fingerprint, fp);
   EXPECT_EQ(registry.Get("text")->fingerprint, fp);
   // The METIS stand-in has the same edges but default attributes.

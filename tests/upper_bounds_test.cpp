@@ -15,7 +15,7 @@ using testing_util::RandomAttributedGraph;
 
 // Every bound must dominate the exact maximum fair clique size. This is the
 // central soundness property; it exercises the corrected forms of the
-// paper's Lemmas 9-13 (see DESIGN.md §2.3).
+// paper's Lemmas 9-13, each documented at its bound in bounds/upper_bounds.h.
 struct BoundCase {
   uint64_t seed;
   double density;
@@ -104,7 +104,7 @@ TEST(DegeneracyBoundTest, TriangleNeedsPlusOne) {
 }
 
 TEST(EnhancedAttributeColorBoundTest, MixedColorsCountedOncePerSide) {
-  // Printed Lemma 9 counterexample (DESIGN.md): ca=0, cb=10, cm=4, delta=0
+  // Printed Lemma 9 counterexample: ca=0, cb=10, cm=4, delta=0
   // admits a fair clique over 8 colors; the sound bound must be >= 8.
   // Construct: 4 a-vertices with colors shared by 4 b-vertices (mixed),
   // plus 6 b-only colors; complete bipartite-ish clique structure is not

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <future>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +20,7 @@
 #include "service/query_executor.h"
 #include "service/result_cache.h"
 #include "service/telemetry.h"
+#include "service/wire.h"
 #include "test_util.h"
 
 namespace fairclique {
@@ -172,6 +176,300 @@ TEST(TelemetryExportTest, PrometheusPageValidatesAndCoversFamilies) {
             2);
   ASSERT_GE(text.size(), 6u);
   EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
+}
+
+/// The flat `"<name>":{...}` sub-object of a stats line, parsed.
+wire::JsonObject StatsObject(const std::string& json, const std::string& name) {
+  wire::JsonObject out;
+  const size_t at = json.find("\"" + name + "\":{");
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no " << name << " object in " << json;
+    return out;
+  }
+  const size_t begin = json.find('{', at);
+  const size_t end = json.find('}', begin);
+  std::string error;
+  EXPECT_TRUE(wire::ParseJsonObject(json.substr(begin, end - begin + 1), &out,
+                                    &error))
+      << error;
+  return out;
+}
+
+/// True for the families rendered from the five service stats structs (the
+/// process-wide registry also carries fc_wal_* and fc_query_* instruments).
+bool IsServiceFamily(const std::string& name) {
+  for (const char* prefix :
+       {"fc_executor_", "fc_result_cache_", "fc_prepared_cache_",
+        "fc_registry_", "fc_storage_", "fc_wal_records_",
+        "fc_wal_group_commits_"}) {
+    if (name.rfind(prefix, 0) == 0) return true;
+  }
+  return false;
+}
+
+/// The sorted HELP/TYPE preamble of the service families: their names,
+/// kinds and HELP strings are part of the scrape contract.
+constexpr char kServiceFamilyPreamble[] = R"(
+# HELP fc_executor_accepted_total Requests admitted
+# HELP fc_executor_active_workers Workers currently executing a query stage or component task
+# HELP fc_executor_admission_queue_depth Whole queries waiting for a worker
+# HELP fc_executor_cache_hits_total Queries answered from the result cache
+# HELP fc_executor_component_queue_depth Expanded Branch tasks waiting
+# HELP fc_executor_component_tasks_total Component tasks scheduled pool-wide
+# HELP fc_executor_deadline_misses_total Responses answered with deadline_missed
+# HELP fc_executor_expired_in_queue_total Requests whose deadline expired before a worker popped them
+# HELP fc_executor_incremental_requeries_total Queries answered exactly via incremental re-query
+# HELP fc_executor_peak_queue_depth High-water mark of the combined backlog
+# HELP fc_executor_prepared_builds_total Prepared plans built
+# HELP fc_executor_prepared_hits_total Branch stages run on a cached prepared plan
+# HELP fc_executor_queue_depth Total backlog (admission + component)
+# HELP fc_executor_rejected_total Requests rejected (queue full or shutdown)
+# HELP fc_executor_served_total Responses completed
+# HELP fc_executor_stopped_deadline_total Searches stopped by the per-query deadline (expired in queue included)
+# HELP fc_executor_stopped_node_limit_total Searches stopped by the request's node limit
+# HELP fc_executor_stopped_time_limit_total Searches stopped by the request's own time limit
+# HELP fc_executor_submitted_total Requests submitted
+# HELP fc_executor_warm_starts_total Full searches seeded by a warm hint
+# HELP fc_executor_workers Configured worker-pool size
+# HELP fc_prepared_cache_capacity Prepared-plan cache capacity
+# HELP fc_prepared_cache_entries Resident prepared plans
+# HELP fc_prepared_cache_evictions_total Prepared-plan LRU evictions
+# HELP fc_prepared_cache_forwarded_total Prepared plans re-keyed to a new epoch
+# HELP fc_prepared_cache_hits_total Prepared-plan cache hits
+# HELP fc_prepared_cache_insertions_total Prepared-plan insertions
+# HELP fc_prepared_cache_invalidated_total Prepared plans dropped by invalidation
+# HELP fc_prepared_cache_misses_total Prepared-plan cache misses
+# HELP fc_registry_evictions_total Graphs evicted
+# HELP fc_registry_graphs Currently registered graphs
+# HELP fc_registry_loads_total Graphs registered via Load/Add
+# HELP fc_registry_replaces_total Epoch transitions published by Replace
+# HELP fc_registry_restores_total Graphs registered from durable recovery
+# HELP fc_result_cache_capacity Result-cache capacity
+# HELP fc_result_cache_entries Resident result-cache entries
+# HELP fc_result_cache_evictions_total Result-cache LRU evictions
+# HELP fc_result_cache_hint_entries Resident warm hints
+# HELP fc_result_cache_hint_hits_total Warm hints consumed by queries
+# HELP fc_result_cache_hints_published_total Warm hints created by snapshot migration
+# HELP fc_result_cache_hits_total Result-cache hits
+# HELP fc_result_cache_insertions_total Result-cache insertions
+# HELP fc_result_cache_invalidated_total Result-cache entries/hints dropped by invalidation
+# HELP fc_result_cache_misses_total Result-cache misses
+# HELP fc_result_cache_republished_total Exact entries migrated to a new epoch's fingerprint
+# HELP fc_storage_compactions_total Snapshot rewrites that truncated a WAL
+# HELP fc_storage_recover_failures_total Manifest entries skipped on recovery
+# HELP fc_storage_recoveries_total Graphs recovered by RecoverAll
+# HELP fc_storage_snapshots_written_total FCG2 snapshots written (incl. compactions)
+# HELP fc_storage_warm_entries_rejected_total Warm cache entries rejected by the restore verifier
+# HELP fc_storage_warm_entries_restored_total Warm cache entries restored (verifier-approved)
+# HELP fc_storage_warm_entries_saved_total Warm cache entries persisted
+# HELP fc_wal_group_commits_total Write+fsync groups issued by commit leaders
+# HELP fc_wal_records_appended_total WAL records acknowledged durable
+# HELP fc_wal_records_replayed_total WAL records replayed during recovery
+# TYPE fc_executor_accepted_total counter
+# TYPE fc_executor_active_workers gauge
+# TYPE fc_executor_admission_queue_depth gauge
+# TYPE fc_executor_cache_hits_total counter
+# TYPE fc_executor_component_queue_depth gauge
+# TYPE fc_executor_component_tasks_total counter
+# TYPE fc_executor_deadline_misses_total counter
+# TYPE fc_executor_expired_in_queue_total counter
+# TYPE fc_executor_incremental_requeries_total counter
+# TYPE fc_executor_peak_queue_depth gauge
+# TYPE fc_executor_prepared_builds_total counter
+# TYPE fc_executor_prepared_hits_total counter
+# TYPE fc_executor_queue_depth gauge
+# TYPE fc_executor_rejected_total counter
+# TYPE fc_executor_served_total counter
+# TYPE fc_executor_stopped_deadline_total counter
+# TYPE fc_executor_stopped_node_limit_total counter
+# TYPE fc_executor_stopped_time_limit_total counter
+# TYPE fc_executor_submitted_total counter
+# TYPE fc_executor_warm_starts_total counter
+# TYPE fc_executor_workers gauge
+# TYPE fc_prepared_cache_capacity gauge
+# TYPE fc_prepared_cache_entries gauge
+# TYPE fc_prepared_cache_evictions_total counter
+# TYPE fc_prepared_cache_forwarded_total counter
+# TYPE fc_prepared_cache_hits_total counter
+# TYPE fc_prepared_cache_insertions_total counter
+# TYPE fc_prepared_cache_invalidated_total counter
+# TYPE fc_prepared_cache_misses_total counter
+# TYPE fc_registry_evictions_total counter
+# TYPE fc_registry_graphs gauge
+# TYPE fc_registry_loads_total counter
+# TYPE fc_registry_replaces_total counter
+# TYPE fc_registry_restores_total counter
+# TYPE fc_result_cache_capacity gauge
+# TYPE fc_result_cache_entries gauge
+# TYPE fc_result_cache_evictions_total counter
+# TYPE fc_result_cache_hint_entries gauge
+# TYPE fc_result_cache_hint_hits_total counter
+# TYPE fc_result_cache_hints_published_total counter
+# TYPE fc_result_cache_hits_total counter
+# TYPE fc_result_cache_insertions_total counter
+# TYPE fc_result_cache_invalidated_total counter
+# TYPE fc_result_cache_misses_total counter
+# TYPE fc_result_cache_republished_total counter
+# TYPE fc_storage_compactions_total counter
+# TYPE fc_storage_recover_failures_total counter
+# TYPE fc_storage_recoveries_total counter
+# TYPE fc_storage_snapshots_written_total counter
+# TYPE fc_storage_warm_entries_rejected_total counter
+# TYPE fc_storage_warm_entries_restored_total counter
+# TYPE fc_storage_warm_entries_saved_total counter
+# TYPE fc_wal_group_commits_total counter
+# TYPE fc_wal_records_appended_total counter
+# TYPE fc_wal_records_replayed_total counter
+)";
+
+TEST(TelemetryExportTest, EveryServiceCounterAgreesAcrossStatsAndPrometheus) {
+  // Every field of the five structs holds a distinct value (hundreds digit =
+  // struct, units = declaration order), so a row wired to the wrong member
+  // or rendered twice cannot pass.
+  ServiceTelemetry t;
+  t.registry = {101, 102, 103, 104, 105};
+  t.cache = {201, 202, 203, 204, 205, 206, 207, 208, 209, 210, 211};
+  t.prepared = {301, 302, 303, 304, 305, 306, 307, 308};
+  t.executor = {401, 402, 403, 404, 405, 406, 407, 408, 409, 410, 411,
+                412, 413, 414, 415, 416, 417, 418, 419, 420, 421};
+  t.storage = {501, 502, 503, 504, 505, 506, 507, 508, 509, 510};
+  t.has_storage = true;
+
+  struct Pin {
+    const char* object;
+    const char* key;
+    const char* family;
+    int64_t value;
+  };
+  const Pin pins[] = {
+      {"registry", "loads", "fc_registry_loads_total", 101},
+      {"registry", "restores", "fc_registry_restores_total", 102},
+      {"registry", "replaces", "fc_registry_replaces_total", 103},
+      {"registry", "evictions", "fc_registry_evictions_total", 104},
+      // registry.graphs (fc_registry_graphs, 105) has no stats-JSON key yet.
+      {"cache", "hits", "fc_result_cache_hits_total", 201},
+      {"cache", "misses", "fc_result_cache_misses_total", 202},
+      {"cache", "insertions", "fc_result_cache_insertions_total", 203},
+      {"cache", "evictions", "fc_result_cache_evictions_total", 204},
+      {"cache", "invalidated", "fc_result_cache_invalidated_total", 205},
+      {"cache", "republished", "fc_result_cache_republished_total", 206},
+      {"cache", "hints_published", "fc_result_cache_hints_published_total",
+       207},
+      {"cache", "hint_hits", "fc_result_cache_hint_hits_total", 208},
+      {"cache", "entries", "fc_result_cache_entries", 209},
+      {"cache", "hint_entries", "fc_result_cache_hint_entries", 210},
+      {"cache", "capacity", "fc_result_cache_capacity", 211},
+      {"prepared", "hits", "fc_prepared_cache_hits_total", 301},
+      {"prepared", "misses", "fc_prepared_cache_misses_total", 302},
+      {"prepared", "insertions", "fc_prepared_cache_insertions_total", 303},
+      {"prepared", "evictions", "fc_prepared_cache_evictions_total", 304},
+      {"prepared", "invalidated", "fc_prepared_cache_invalidated_total", 305},
+      {"prepared", "forwarded", "fc_prepared_cache_forwarded_total", 306},
+      {"prepared", "entries", "fc_prepared_cache_entries", 307},
+      {"prepared", "capacity", "fc_prepared_cache_capacity", 308},
+      {"executor", "submitted", "fc_executor_submitted_total", 401},
+      {"executor", "accepted", "fc_executor_accepted_total", 402},
+      {"executor", "rejected", "fc_executor_rejected_total", 403},
+      {"executor", "served", "fc_executor_served_total", 404},
+      {"executor", "cache_hits", "fc_executor_cache_hits_total", 405},
+      {"executor", "incremental", "fc_executor_incremental_requeries_total",
+       406},
+      {"executor", "warm_starts", "fc_executor_warm_starts_total", 407},
+      {"executor", "prepared_hits", "fc_executor_prepared_hits_total", 408},
+      {"executor", "prepared_builds", "fc_executor_prepared_builds_total",
+       409},
+      {"executor", "component_tasks", "fc_executor_component_tasks_total",
+       410},
+      {"executor", "deadline_misses", "fc_executor_deadline_misses_total",
+       411},
+      {"executor", "expired_in_queue", "fc_executor_expired_in_queue_total",
+       412},
+      {"executor", "stopped_node_limit",
+       "fc_executor_stopped_node_limit_total", 413},
+      {"executor", "stopped_time_limit",
+       "fc_executor_stopped_time_limit_total", 414},
+      {"executor", "stopped_deadline", "fc_executor_stopped_deadline_total",
+       415},
+      {"executor", "admission_queue_depth",
+       "fc_executor_admission_queue_depth", 416},
+      {"executor", "component_queue_depth",
+       "fc_executor_component_queue_depth", 417},
+      {"executor", "queue_depth", "fc_executor_queue_depth", 418},
+      {"executor", "peak_queue_depth", "fc_executor_peak_queue_depth", 419},
+      {"executor", "num_workers", "fc_executor_workers", 420},
+      {"executor", "active_workers", "fc_executor_active_workers", 421},
+      {"storage", "snapshots_written", "fc_storage_snapshots_written_total",
+       501},
+      {"storage", "wal_records_appended", "fc_wal_records_appended_total",
+       502},
+      {"storage", "wal_group_commits", "fc_wal_group_commits_total", 503},
+      {"storage", "wal_records_replayed", "fc_wal_records_replayed_total",
+       504},
+      {"storage", "compactions", "fc_storage_compactions_total", 505},
+      {"storage", "recoveries", "fc_storage_recoveries_total", 506},
+      {"storage", "recover_failures", "fc_storage_recover_failures_total",
+       507},
+      {"storage", "warm_entries_saved", "fc_storage_warm_entries_saved_total",
+       508},
+      {"storage", "warm_entries_restored",
+       "fc_storage_warm_entries_restored_total", 509},
+      {"storage", "warm_entries_rejected",
+       "fc_storage_warm_entries_rejected_total", 510},
+  };
+
+  // Prometheus side: the value of every unlabelled sample, and the sorted
+  // HELP/TYPE preamble of the service families.
+  const std::string text = PrometheusText(t);
+  ASSERT_TRUE(ValidExposition(text)) << text;
+  std::map<std::string, int64_t> samples;
+  std::vector<std::string> preamble;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("# HELP ", 0) == 0 || line.rfind("# TYPE ", 0) == 0) {
+      const std::string name = line.substr(7, line.find(' ', 7) - 7);
+      if (IsServiceFamily(name)) preamble.push_back(line);
+    } else if (line[0] != '#' && line.find('{') == std::string::npos) {
+      const size_t sp = line.rfind(' ');
+      samples[line.substr(0, sp)] = std::atoll(line.c_str() + sp + 1);
+    }
+  }
+
+  // Stats side: each pinned key agrees with its Prometheus sample, and each
+  // object holds exactly the pinned keys.
+  const std::string json = StatsJson(1, t);
+  std::map<std::string, wire::JsonObject> objects;
+  std::map<std::string, size_t> pinned_keys;
+  for (const Pin& pin : pins) {
+    if (objects.count(pin.object) == 0) {
+      objects[pin.object] = StatsObject(json, pin.object);
+    }
+    ++pinned_keys[pin.object];
+    const wire::JsonObject& obj = objects[pin.object];
+    ASSERT_EQ(obj.count(pin.key), 1u) << pin.object << "." << pin.key;
+    EXPECT_EQ(static_cast<int64_t>(obj.at(pin.key).num), pin.value)
+        << pin.object << "." << pin.key;
+    ASSERT_EQ(samples.count(pin.family), 1u) << pin.family;
+    EXPECT_EQ(samples[pin.family], pin.value) << pin.family;
+  }
+  for (const auto& [object, count] : pinned_keys) {
+    EXPECT_EQ(objects[object].size(), count) << "unpinned key in " << object;
+  }
+  // Every service family carries a distinct field: 55 fields, 55 values.
+  std::set<int64_t> service_values;
+  for (const auto& [name, value] : samples) {
+    if (IsServiceFamily(name)) service_values.insert(value);
+  }
+  EXPECT_EQ(service_values.size(), 55u);
+  EXPECT_EQ(*service_values.begin(), 101);
+  EXPECT_EQ(*service_values.rbegin(), 510);
+
+  std::sort(preamble.begin(), preamble.end());
+  std::vector<std::string> golden;
+  std::istringstream golden_in(kServiceFamilyPreamble);
+  for (std::string line; std::getline(golden_in, line);) {
+    if (!line.empty()) golden.push_back(line);
+  }
+  EXPECT_EQ(preamble, golden);
 }
 
 TEST(TelemetryExecutorTest, MetricsStayMonotonicUnderQueryStorm) {

@@ -351,22 +351,9 @@ struct Server {
     pending.clear();
   }
 
-  ServiceTelemetry GatherTelemetry() {
-    ServiceTelemetry t;
-    t.graphs = registry.List();
-    t.registry = registry.Stats();
-    t.cache = cache.Stats();
-    t.prepared = prepared.Stats();
-    t.executor = executor.metrics();
-    if (storage != nullptr) {
-      t.storage = storage->counters();
-      t.has_storage = true;
-    }
-    if (watchdog != nullptr) {
-      t.watchdog = watchdog->stats();
-      t.has_watchdog = true;
-    }
-    return t;
+  ServiceTelemetry Telemetry() const {
+    return GatherTelemetry(registry, executor, &cache, &prepared,
+                           storage.get(), watchdog.get());
   }
 
   void StartWatchdog(const obs::WatchdogOptions& options) {
@@ -383,7 +370,7 @@ struct Server {
   }
 
   void HandleHealth(uint64_t id) {
-    std::printf("%s\n", HealthJson(id, GatherTelemetry()).c_str());
+    std::printf("%s\n", HealthJson(id, Telemetry()).c_str());
   }
 
   void HandleJournal(uint64_t id, const JsonObject& obj) {
@@ -424,14 +411,14 @@ struct Server {
   }
 
   void HandleStats(uint64_t id) {
-    std::printf("%s\n", StatsJson(id, GatherTelemetry()).c_str());
+    std::printf("%s\n", StatsJson(id, Telemetry()).c_str());
   }
 
   void HandleMetrics(uint64_t id, const JsonObject& obj) {
     if (GetString(obj, "format") != "prometheus") return HandleStats(id);
     // Raw multi-line exposition; the trailing "# EOF" line marks the end
     // for line-oriented consumers sharing the stream with JSON responses.
-    std::fputs(PrometheusText(GatherTelemetry()).c_str(), stdout);
+    std::fputs(PrometheusText(Telemetry()).c_str(), stdout);
   }
 
   void HandleSlowlog(uint64_t id, const JsonObject& obj) {

@@ -465,23 +465,8 @@ QueryResponse QueryExecutor::Run(const QueryRequest& request) {
     const size_t n = StartBranch(qs);
     for (size_t task = 0; task < n; ++task) RunBranchTask(qs, task);
     FinishBranch(qs);
-  } else if (qs.request.explain && qs.response.plan_json.empty()) {
-    BuildExplain(qs, nullptr);  // cache hit / expired / invalid: plan is
-                                // just the cache decision
   }
-  served_.fetch_add(1, std::memory_order_relaxed);
-  RecordTelemetry(qs);
-  // Journal only queries that did real work. A cache hit serves in well
-  // under a microsecond at millions of q/s: journaling each one would both
-  // blow the <5% cached-hit overhead budget and flush the entire ring in
-  // milliseconds, destroying the flight record's value exactly when it is
-  // needed. Hits remain visible through fc_executor_cache_hits_total.
-  if (!qs.response.cache_hit) {
-    obs::EventJournal::Default().Record(
-        obs::EventType::kQueryFinish, qs.response.trace_id,
-        qs.response.result != nullptr ? qs.response.result->clique.size() : 0,
-        static_cast<uint64_t>(qs.response.run_micros));
-  }
+  FinishQuery(qs);
   return std::move(qs.response);
 }
 
@@ -571,19 +556,32 @@ void QueryExecutor::FinalizeQuery(QueryState& qs) {
   CompleteQuery(qs);
 }
 
-void QueryExecutor::CompleteQuery(QueryState& qs) {
+void QueryExecutor::FinishQuery(QueryState& qs) {
   if (qs.request.explain && qs.response.plan_json.empty()) {
-    BuildExplain(qs, nullptr);  // PreSearch answered without a search
+    BuildExplain(qs, nullptr);  // cache hit / expired / invalid: plan is
+                                // just the cache decision
   }
   served_.fetch_add(1, std::memory_order_relaxed);
-  qs.response.queue_micros =
-      qs.queued.ElapsedMicros() - qs.response.run_micros;
+  if (qs.from_queue) {
+    qs.response.queue_micros =
+        qs.queued.ElapsedMicros() - qs.response.run_micros;
+  }
   RecordTelemetry(qs);
+  // Journal only queries that did real work. A cache hit serves in well
+  // under a microsecond at millions of q/s: journaling each one would both
+  // blow the <5% cached-hit overhead budget and flush the entire ring in
+  // milliseconds, destroying the flight record's value exactly when it is
+  // needed. Hits remain visible through fc_executor_cache_hits_total.
+  if (qs.response.cache_hit) return;
   obs::EventJournal::Default().Record(
       obs::EventType::kQueryFinish, qs.response.trace_id,
       qs.response.result != nullptr ? qs.response.result->clique.size() : 0,
       static_cast<uint64_t>(qs.response.run_micros),
       qs.request.graph != nullptr ? qs.request.graph->name.c_str() : nullptr);
+}
+
+void QueryExecutor::CompleteQuery(QueryState& qs) {
+  FinishQuery(qs);
   qs.promise.set_value(std::move(qs.response));
   {
     fc::MutexLock lock(mu_);

@@ -259,7 +259,14 @@ class QueryExecutor : public ParallelHelpers {
   void ExpandQuery(std::shared_ptr<QueryState> qs);
   /// FinishBranch + CompleteQuery, run by whoever finished the last task.
   void FinalizeQuery(QueryState& qs);
-  /// Sets the promise and settles the in-flight accounting.
+  /// The finish steps of every answered query, on the pool and Run paths
+  /// alike: a cache-decision-only EXPLAIN plan when none was built, the
+  /// served count, the queue wait (pool path only; Run never queues), the
+  /// trace, and a kQueryFinish journal event naming the graph — except for
+  /// result-cache hits, which are not journaled.
+  void FinishQuery(QueryState& qs);
+  /// FinishQuery, then sets the promise and settles the in-flight
+  /// accounting.
   void CompleteQuery(QueryState& qs);
 
   const ExecutorOptions options_;

@@ -26,7 +26,224 @@ void WriteBuildObject(wire::JsonWriter& w) {
       .EndObject();
 }
 
+enum Kind { kCounter, kGauge };
+
+/// One service counter of stats struct S, declared once: `read` picks the
+/// member, `key` names it in the struct's `stats` JSON object and `family`
+/// is its Prometheus family. Both renderers loop over the same rows.
+template <typename S>
+struct CounterRow {
+  uint64_t (*read)(const S&);
+  const char* key;
+  const char* family;
+  Kind kind;
+  const char* help;
+};
+
+/// `read` for member M (the structs mix uint64_t counters and size_t
+/// gauges).
+template <auto M>
+uint64_t Member(const auto& s) {
+  return s.*M;
+}
+
+using Reg = RegistryStats;
+constexpr CounterRow<Reg> kRegistryRows[] = {
+    {Member<&Reg::loads>, "loads", "fc_registry_loads_total", kCounter,
+     "Graphs registered via Load/Add"},
+    {Member<&Reg::restores>, "restores", "fc_registry_restores_total",
+     kCounter, "Graphs registered from durable recovery"},
+    {Member<&Reg::replaces>, "replaces", "fc_registry_replaces_total",
+     kCounter, "Epoch transitions published by Replace"},
+    {Member<&Reg::evictions>, "evictions", "fc_registry_evictions_total",
+     kCounter, "Graphs evicted"},
+    {Member<&Reg::graphs>, "graphs", "fc_registry_graphs", kGauge,
+     "Currently registered graphs"},
+};
+
+using Rc = ResultCacheStats;
+constexpr CounterRow<Rc> kCacheRows[] = {
+    {Member<&Rc::hits>, "hits", "fc_result_cache_hits_total", kCounter,
+     "Result-cache hits"},
+    {Member<&Rc::misses>, "misses", "fc_result_cache_misses_total", kCounter,
+     "Result-cache misses"},
+    {Member<&Rc::insertions>, "insertions", "fc_result_cache_insertions_total",
+     kCounter, "Result-cache insertions"},
+    {Member<&Rc::evictions>, "evictions", "fc_result_cache_evictions_total",
+     kCounter, "Result-cache LRU evictions"},
+    {Member<&Rc::invalidated>, "invalidated",
+     "fc_result_cache_invalidated_total", kCounter,
+     "Result-cache entries/hints dropped by invalidation"},
+    {Member<&Rc::republished>, "republished",
+     "fc_result_cache_republished_total", kCounter,
+     "Exact entries migrated to a new epoch's fingerprint"},
+    {Member<&Rc::hints_published>, "hints_published",
+     "fc_result_cache_hints_published_total", kCounter,
+     "Warm hints created by snapshot migration"},
+    {Member<&Rc::hint_hits>, "hint_hits", "fc_result_cache_hint_hits_total",
+     kCounter, "Warm hints consumed by queries"},
+    {Member<&Rc::entries>, "entries", "fc_result_cache_entries", kGauge,
+     "Resident result-cache entries"},
+    {Member<&Rc::hint_entries>, "hint_entries", "fc_result_cache_hint_entries",
+     kGauge, "Resident warm hints"},
+    {Member<&Rc::capacity>, "capacity", "fc_result_cache_capacity", kGauge,
+     "Result-cache capacity"},
+};
+
+using Pc = PreparedGraphCacheStats;
+constexpr CounterRow<Pc> kPreparedRows[] = {
+    {Member<&Pc::hits>, "hits", "fc_prepared_cache_hits_total", kCounter,
+     "Prepared-plan cache hits"},
+    {Member<&Pc::misses>, "misses", "fc_prepared_cache_misses_total",
+     kCounter, "Prepared-plan cache misses"},
+    {Member<&Pc::insertions>, "insertions",
+     "fc_prepared_cache_insertions_total", kCounter, "Prepared-plan insertions"},
+    {Member<&Pc::evictions>, "evictions", "fc_prepared_cache_evictions_total",
+     kCounter, "Prepared-plan LRU evictions"},
+    {Member<&Pc::invalidated>, "invalidated",
+     "fc_prepared_cache_invalidated_total", kCounter,
+     "Prepared plans dropped by invalidation"},
+    {Member<&Pc::forwarded>, "forwarded", "fc_prepared_cache_forwarded_total",
+     kCounter, "Prepared plans re-keyed to a new epoch"},
+    {Member<&Pc::entries>, "entries", "fc_prepared_cache_entries", kGauge,
+     "Resident prepared plans"},
+    {Member<&Pc::capacity>, "capacity", "fc_prepared_cache_capacity", kGauge,
+     "Prepared-plan cache capacity"},
+};
+
+using Ex = ExecutorMetrics;
+constexpr CounterRow<Ex> kExecutorRows[] = {
+    {Member<&Ex::submitted>, "submitted", "fc_executor_submitted_total",
+     kCounter, "Requests submitted"},
+    {Member<&Ex::accepted>, "accepted", "fc_executor_accepted_total",
+     kCounter, "Requests admitted"},
+    {Member<&Ex::rejected>, "rejected", "fc_executor_rejected_total",
+     kCounter, "Requests rejected (queue full or shutdown)"},
+    {Member<&Ex::served>, "served", "fc_executor_served_total", kCounter,
+     "Responses completed"},
+    {Member<&Ex::cache_hits>, "cache_hits", "fc_executor_cache_hits_total",
+     kCounter, "Queries answered from the result cache"},
+    {Member<&Ex::incremental_requeries>, "incremental",
+     "fc_executor_incremental_requeries_total", kCounter,
+     "Queries answered exactly via incremental re-query"},
+    {Member<&Ex::warm_starts>, "warm_starts", "fc_executor_warm_starts_total",
+     kCounter, "Full searches seeded by a warm hint"},
+    {Member<&Ex::prepared_hits>, "prepared_hits",
+     "fc_executor_prepared_hits_total", kCounter,
+     "Branch stages run on a cached prepared plan"},
+    {Member<&Ex::prepared_builds>, "prepared_builds",
+     "fc_executor_prepared_builds_total", kCounter, "Prepared plans built"},
+    {Member<&Ex::component_tasks>, "component_tasks",
+     "fc_executor_component_tasks_total", kCounter,
+     "Component tasks scheduled pool-wide"},
+    {Member<&Ex::deadline_misses>, "deadline_misses",
+     "fc_executor_deadline_misses_total", kCounter,
+     "Responses answered with deadline_missed"},
+    {Member<&Ex::expired_in_queue>, "expired_in_queue",
+     "fc_executor_expired_in_queue_total", kCounter,
+     "Requests whose deadline expired before a worker popped them"},
+    {Member<&Ex::stopped_node_limit>, "stopped_node_limit",
+     "fc_executor_stopped_node_limit_total", kCounter,
+     "Searches stopped by the request's node limit"},
+    {Member<&Ex::stopped_time_limit>, "stopped_time_limit",
+     "fc_executor_stopped_time_limit_total", kCounter,
+     "Searches stopped by the request's own time limit"},
+    {Member<&Ex::stopped_deadline>, "stopped_deadline",
+     "fc_executor_stopped_deadline_total", kCounter,
+     "Searches stopped by the per-query deadline (expired in queue "
+     "included)"},
+    {Member<&Ex::admission_queue_depth>, "admission_queue_depth",
+     "fc_executor_admission_queue_depth", kGauge,
+     "Whole queries waiting for a worker"},
+    {Member<&Ex::component_queue_depth>, "component_queue_depth",
+     "fc_executor_component_queue_depth", kGauge,
+     "Expanded Branch tasks waiting"},
+    {Member<&Ex::queue_depth>, "queue_depth", "fc_executor_queue_depth",
+     kGauge, "Total backlog (admission + component)"},
+    {Member<&Ex::peak_queue_depth>, "peak_queue_depth",
+     "fc_executor_peak_queue_depth", kGauge,
+     "High-water mark of the combined backlog"},
+    {Member<&Ex::num_workers>, "num_workers", "fc_executor_workers", kGauge,
+     "Configured worker-pool size"},
+    {Member<&Ex::active_workers>, "active_workers",
+     "fc_executor_active_workers", kGauge,
+     "Workers currently executing a query stage or component task"},
+};
+
+using St = storage::StorageCounters;
+constexpr CounterRow<St> kStorageRows[] = {
+    {Member<&St::snapshots_written>, "snapshots_written",
+     "fc_storage_snapshots_written_total", kCounter,
+     "FCG2 snapshots written (incl. compactions)"},
+    {Member<&St::wal_records_appended>, "wal_records_appended",
+     "fc_wal_records_appended_total", kCounter,
+     "WAL records acknowledged durable"},
+    {Member<&St::wal_group_commits>, "wal_group_commits",
+     "fc_wal_group_commits_total", kCounter,
+     "Write+fsync groups issued by commit leaders"},
+    {Member<&St::wal_records_replayed>, "wal_records_replayed",
+     "fc_wal_records_replayed_total", kCounter,
+     "WAL records replayed during recovery"},
+    {Member<&St::compactions>, "compactions", "fc_storage_compactions_total",
+     kCounter, "Snapshot rewrites that truncated a WAL"},
+    {Member<&St::recoveries>, "recoveries", "fc_storage_recoveries_total",
+     kCounter, "Graphs recovered by RecoverAll"},
+    {Member<&St::recover_failures>, "recover_failures",
+     "fc_storage_recover_failures_total", kCounter,
+     "Manifest entries skipped on recovery"},
+    {Member<&St::warm_entries_saved>, "warm_entries_saved",
+     "fc_storage_warm_entries_saved_total", kCounter,
+     "Warm cache entries persisted"},
+    {Member<&St::warm_entries_restored>, "warm_entries_restored",
+     "fc_storage_warm_entries_restored_total", kCounter,
+     "Warm cache entries restored (verifier-approved)"},
+    {Member<&St::warm_entries_rejected>, "warm_entries_rejected",
+     "fc_storage_warm_entries_rejected_total", kCounter,
+     "Warm cache entries rejected by the restore verifier"},
+};
+
+/// Renders `rows` of `s` as the `stats` sub-object `name`.
+template <typename S, size_t N>
+void WriteCounterObject(wire::JsonWriter& w, const char* name, const S& s,
+                        const CounterRow<S> (&rows)[N]) {
+  w.Key(name).BeginObject();
+  for (const CounterRow<S>& row : rows) {
+    w.Field(row.key, static_cast<unsigned long long>(row.read(s)));
+  }
+  w.EndObject();
+}
+
+/// Appends `rows` of `s` to a scrape as one family each.
+template <typename S, size_t N>
+void AddCounterFamilies(obs::MetricsSnapshot& snap, const S& s,
+                        const CounterRow<S> (&rows)[N]) {
+  for (const CounterRow<S>& row : rows) {
+    if (row.kind == kCounter) {
+      snap.AddCounter(row.family, row.help, row.read(s));
+    } else {
+      snap.AddGauge(row.family, row.help, static_cast<int64_t>(row.read(s)));
+    }
+  }
+}
+
 }  // namespace
+
+ServiceTelemetry GatherTelemetry(const GraphRegistry& registry,
+                                 const QueryExecutor& executor,
+                                 const ResultCache* cache,
+                                 const PreparedGraphCache* prepared,
+                                 const storage::StorageManager* storage,
+                                 const obs::Watchdog* watchdog) {
+  ServiceTelemetry t;
+  t.graphs = registry.List();
+  t.registry = registry.Stats();
+  t.executor = executor.metrics();
+  if (cache != nullptr) t.cache = cache->Stats();
+  if (prepared != nullptr) t.prepared = prepared->Stats();
+  if (storage != nullptr) t.storage = storage->counters();
+  if (watchdog != nullptr) t.watchdog = watchdog->stats();
+  return t;
+}
 
 std::string StatsJson(uint64_t id, const ServiceTelemetry& t) {
   wire::JsonWriter w;
@@ -46,81 +263,10 @@ std::string StatsJson(uint64_t id, const ServiceTelemetry& t) {
         .EndObject();
   }
   w.EndArray();
-  w.Key("registry")
-      .BeginObject()
-      .Field("loads", static_cast<unsigned long long>(t.registry.loads))
-      .Field("restores", static_cast<unsigned long long>(t.registry.restores))
-      .Field("replaces", static_cast<unsigned long long>(t.registry.replaces))
-      .Field("evictions",
-             static_cast<unsigned long long>(t.registry.evictions))
-      .EndObject();
-  w.Key("cache")
-      .BeginObject()
-      .Field("hits", static_cast<unsigned long long>(t.cache.hits))
-      .Field("misses", static_cast<unsigned long long>(t.cache.misses))
-      .Field("insertions", static_cast<unsigned long long>(t.cache.insertions))
-      .Field("evictions", static_cast<unsigned long long>(t.cache.evictions))
-      .Field("invalidated",
-             static_cast<unsigned long long>(t.cache.invalidated))
-      .Field("republished",
-             static_cast<unsigned long long>(t.cache.republished))
-      .Field("hints_published",
-             static_cast<unsigned long long>(t.cache.hints_published))
-      .Field("hint_hits", static_cast<unsigned long long>(t.cache.hint_hits))
-      .Field("entries", t.cache.entries)
-      .Field("hint_entries", t.cache.hint_entries)
-      .Field("capacity", t.cache.capacity)
-      .EndObject();
-  w.Key("prepared")
-      .BeginObject()
-      .Field("hits", static_cast<unsigned long long>(t.prepared.hits))
-      .Field("misses", static_cast<unsigned long long>(t.prepared.misses))
-      .Field("insertions",
-             static_cast<unsigned long long>(t.prepared.insertions))
-      .Field("evictions",
-             static_cast<unsigned long long>(t.prepared.evictions))
-      .Field("invalidated",
-             static_cast<unsigned long long>(t.prepared.invalidated))
-      .Field("forwarded",
-             static_cast<unsigned long long>(t.prepared.forwarded))
-      .Field("entries", t.prepared.entries)
-      .Field("capacity", t.prepared.capacity)
-      .EndObject();
-  w.Key("executor")
-      .BeginObject()
-      .Field("submitted", static_cast<unsigned long long>(t.executor.submitted))
-      .Field("accepted", static_cast<unsigned long long>(t.executor.accepted))
-      .Field("rejected", static_cast<unsigned long long>(t.executor.rejected))
-      .Field("served", static_cast<unsigned long long>(t.executor.served))
-      .Field("cache_hits",
-             static_cast<unsigned long long>(t.executor.cache_hits))
-      .Field("incremental",
-             static_cast<unsigned long long>(t.executor.incremental_requeries))
-      .Field("warm_starts",
-             static_cast<unsigned long long>(t.executor.warm_starts))
-      .Field("prepared_hits",
-             static_cast<unsigned long long>(t.executor.prepared_hits))
-      .Field("prepared_builds",
-             static_cast<unsigned long long>(t.executor.prepared_builds))
-      .Field("component_tasks",
-             static_cast<unsigned long long>(t.executor.component_tasks))
-      .Field("deadline_misses",
-             static_cast<unsigned long long>(t.executor.deadline_misses))
-      .Field("expired_in_queue",
-             static_cast<unsigned long long>(t.executor.expired_in_queue))
-      .Field("stopped_node_limit",
-             static_cast<unsigned long long>(t.executor.stopped_node_limit))
-      .Field("stopped_time_limit",
-             static_cast<unsigned long long>(t.executor.stopped_time_limit))
-      .Field("stopped_deadline",
-             static_cast<unsigned long long>(t.executor.stopped_deadline))
-      .Field("admission_queue_depth", t.executor.admission_queue_depth)
-      .Field("component_queue_depth", t.executor.component_queue_depth)
-      .Field("queue_depth", t.executor.queue_depth)
-      .Field("peak_queue_depth", t.executor.peak_queue_depth)
-      .Field("num_workers", t.executor.num_workers)
-      .Field("active_workers", t.executor.active_workers)
-      .EndObject();
+  WriteCounterObject(w, "registry", t.registry, kRegistryRows);
+  WriteCounterObject(w, "cache", t.cache, kCacheRows);
+  WriteCounterObject(w, "prepared", t.prepared, kPreparedRows);
+  WriteCounterObject(w, "executor", t.executor, kExecutorRows);
   w.Key("kernel")
       .BeginObject()
       .Field("simd", simd::ActiveName())
@@ -135,31 +281,7 @@ std::string StatsJson(uint64_t id, const ServiceTelemetry& t) {
         .Field("capacity", slowlog.capacity())
         .EndObject();
   }
-  if (t.has_storage) {
-    w.Key("storage")
-        .BeginObject()
-        .Field("snapshots_written",
-               static_cast<unsigned long long>(t.storage.snapshots_written))
-        .Field("wal_records_appended",
-               static_cast<unsigned long long>(t.storage.wal_records_appended))
-        .Field("wal_group_commits",
-               static_cast<unsigned long long>(t.storage.wal_group_commits))
-        .Field("wal_records_replayed",
-               static_cast<unsigned long long>(t.storage.wal_records_replayed))
-        .Field("compactions",
-               static_cast<unsigned long long>(t.storage.compactions))
-        .Field("recoveries",
-               static_cast<unsigned long long>(t.storage.recoveries))
-        .Field("recover_failures",
-               static_cast<unsigned long long>(t.storage.recover_failures))
-        .Field("warm_entries_saved",
-               static_cast<unsigned long long>(t.storage.warm_entries_saved))
-        .Field("warm_entries_restored", static_cast<unsigned long long>(
-                                            t.storage.warm_entries_restored))
-        .Field("warm_entries_rejected", static_cast<unsigned long long>(
-                                            t.storage.warm_entries_rejected))
-        .EndObject();
-  }
+  if (t.storage) WriteCounterObject(w, "storage", *t.storage, kStorageRows);
   w.EndObject();
   return w.str();
 }
@@ -176,126 +298,11 @@ std::string PrometheusText(const ServiceTelemetry& t) {
   obs::WalBytesWrittenCounter();
 
   obs::MetricsSnapshot snap = obs::MetricRegistry::Default().Snapshot();
-
-  snap.AddCounter("fc_executor_submitted_total", "Requests submitted",
-                  t.executor.submitted);
-  snap.AddCounter("fc_executor_accepted_total", "Requests admitted",
-                  t.executor.accepted);
-  snap.AddCounter("fc_executor_rejected_total",
-                  "Requests rejected (queue full or shutdown)",
-                  t.executor.rejected);
-  snap.AddCounter("fc_executor_served_total", "Responses completed",
-                  t.executor.served);
-  snap.AddCounter("fc_executor_cache_hits_total",
-                  "Queries answered from the result cache",
-                  t.executor.cache_hits);
-  snap.AddCounter("fc_executor_incremental_requeries_total",
-                  "Queries answered exactly via incremental re-query",
-                  t.executor.incremental_requeries);
-  snap.AddCounter("fc_executor_warm_starts_total",
-                  "Full searches seeded by a warm hint",
-                  t.executor.warm_starts);
-  snap.AddCounter("fc_executor_prepared_hits_total",
-                  "Branch stages run on a cached prepared plan",
-                  t.executor.prepared_hits);
-  snap.AddCounter("fc_executor_prepared_builds_total",
-                  "Prepared plans built", t.executor.prepared_builds);
-  snap.AddCounter("fc_executor_component_tasks_total",
-                  "Component tasks scheduled pool-wide",
-                  t.executor.component_tasks);
-  snap.AddCounter("fc_executor_deadline_misses_total",
-                  "Responses answered with deadline_missed",
-                  t.executor.deadline_misses);
-  snap.AddCounter("fc_executor_expired_in_queue_total",
-                  "Requests whose deadline expired before a worker popped "
-                  "them",
-                  t.executor.expired_in_queue);
-  snap.AddCounter("fc_executor_stopped_node_limit_total",
-                  "Searches stopped by the request's node limit",
-                  t.executor.stopped_node_limit);
-  snap.AddCounter("fc_executor_stopped_time_limit_total",
-                  "Searches stopped by the request's own time limit",
-                  t.executor.stopped_time_limit);
-  snap.AddCounter("fc_executor_stopped_deadline_total",
-                  "Searches stopped by the per-query deadline (expired "
-                  "in queue included)",
-                  t.executor.stopped_deadline);
-  snap.AddGauge("fc_executor_workers", "Configured worker-pool size",
-                static_cast<int64_t>(t.executor.num_workers));
-  snap.AddGauge("fc_executor_active_workers",
-                "Workers currently executing a query stage or component "
-                "task",
-                static_cast<int64_t>(t.executor.active_workers));
-  snap.AddGauge("fc_executor_admission_queue_depth",
-                "Whole queries waiting for a worker",
-                static_cast<int64_t>(t.executor.admission_queue_depth));
-  snap.AddGauge("fc_executor_component_queue_depth",
-                "Expanded Branch tasks waiting",
-                static_cast<int64_t>(t.executor.component_queue_depth));
-  snap.AddGauge("fc_executor_queue_depth",
-                "Total backlog (admission + component)",
-                static_cast<int64_t>(t.executor.queue_depth));
-  snap.AddGauge("fc_executor_peak_queue_depth",
-                "High-water mark of the combined backlog",
-                static_cast<int64_t>(t.executor.peak_queue_depth));
-
-  snap.AddCounter("fc_result_cache_hits_total", "Result-cache hits",
-                  t.cache.hits);
-  snap.AddCounter("fc_result_cache_misses_total", "Result-cache misses",
-                  t.cache.misses);
-  snap.AddCounter("fc_result_cache_insertions_total",
-                  "Result-cache insertions", t.cache.insertions);
-  snap.AddCounter("fc_result_cache_evictions_total",
-                  "Result-cache LRU evictions", t.cache.evictions);
-  snap.AddCounter("fc_result_cache_invalidated_total",
-                  "Result-cache entries/hints dropped by invalidation",
-                  t.cache.invalidated);
-  snap.AddCounter("fc_result_cache_republished_total",
-                  "Exact entries migrated to a new epoch's fingerprint",
-                  t.cache.republished);
-  snap.AddCounter("fc_result_cache_hints_published_total",
-                  "Warm hints created by snapshot migration",
-                  t.cache.hints_published);
-  snap.AddCounter("fc_result_cache_hint_hits_total",
-                  "Warm hints consumed by queries", t.cache.hint_hits);
-  snap.AddGauge("fc_result_cache_entries", "Resident result-cache entries",
-                static_cast<int64_t>(t.cache.entries));
-  snap.AddGauge("fc_result_cache_hint_entries", "Resident warm hints",
-                static_cast<int64_t>(t.cache.hint_entries));
-  snap.AddGauge("fc_result_cache_capacity", "Result-cache capacity",
-                static_cast<int64_t>(t.cache.capacity));
-
-  snap.AddCounter("fc_prepared_cache_hits_total", "Prepared-plan cache hits",
-                  t.prepared.hits);
-  snap.AddCounter("fc_prepared_cache_misses_total",
-                  "Prepared-plan cache misses", t.prepared.misses);
-  snap.AddCounter("fc_prepared_cache_insertions_total",
-                  "Prepared-plan insertions", t.prepared.insertions);
-  snap.AddCounter("fc_prepared_cache_evictions_total",
-                  "Prepared-plan LRU evictions", t.prepared.evictions);
-  snap.AddCounter("fc_prepared_cache_invalidated_total",
-                  "Prepared plans dropped by invalidation",
-                  t.prepared.invalidated);
-  snap.AddCounter("fc_prepared_cache_forwarded_total",
-                  "Prepared plans re-keyed to a new epoch",
-                  t.prepared.forwarded);
-  snap.AddGauge("fc_prepared_cache_entries", "Resident prepared plans",
-                static_cast<int64_t>(t.prepared.entries));
-  snap.AddGauge("fc_prepared_cache_capacity", "Prepared-plan cache capacity",
-                static_cast<int64_t>(t.prepared.capacity));
-
-  snap.AddCounter("fc_registry_loads_total",
-                  "Graphs registered via Load/Add", t.registry.loads);
-  snap.AddCounter("fc_registry_restores_total",
-                  "Graphs registered from durable recovery",
-                  t.registry.restores);
-  snap.AddCounter("fc_registry_replaces_total",
-                  "Epoch transitions published by Replace",
-                  t.registry.replaces);
-  snap.AddCounter("fc_registry_evictions_total", "Graphs evicted",
-                  t.registry.evictions);
-  snap.AddGauge("fc_registry_graphs", "Currently registered graphs",
-                static_cast<int64_t>(t.registry.graphs));
+  AddCounterFamilies(snap, t.executor, kExecutorRows);
+  AddCounterFamilies(snap, t.cache, kCacheRows);
+  AddCounterFamilies(snap, t.prepared, kPreparedRows);
+  AddCounterFamilies(snap, t.registry, kRegistryRows);
+  if (t.storage) AddCounterFamilies(snap, *t.storage, kStorageRows);
 
   {
     obs::Slowlog& slowlog = obs::Slowlog::Default();
@@ -331,38 +338,6 @@ std::string PrometheusText(const ServiceTelemetry& t) {
                   progress.MaxIncumbentGap());
   }
 
-  if (t.has_storage) {
-    snap.AddCounter("fc_storage_snapshots_written_total",
-                    "FCG2 snapshots written (incl. compactions)",
-                    t.storage.snapshots_written);
-    snap.AddCounter("fc_wal_records_appended_total",
-                    "WAL records acknowledged durable",
-                    t.storage.wal_records_appended);
-    snap.AddCounter("fc_wal_group_commits_total",
-                    "Write+fsync groups issued by commit leaders",
-                    t.storage.wal_group_commits);
-    snap.AddCounter("fc_wal_records_replayed_total",
-                    "WAL records replayed during recovery",
-                    t.storage.wal_records_replayed);
-    snap.AddCounter("fc_storage_compactions_total",
-                    "Snapshot rewrites that truncated a WAL",
-                    t.storage.compactions);
-    snap.AddCounter("fc_storage_recoveries_total",
-                    "Graphs recovered by RecoverAll", t.storage.recoveries);
-    snap.AddCounter("fc_storage_recover_failures_total",
-                    "Manifest entries skipped on recovery",
-                    t.storage.recover_failures);
-    snap.AddCounter("fc_storage_warm_entries_saved_total",
-                    "Warm cache entries persisted",
-                    t.storage.warm_entries_saved);
-    snap.AddCounter("fc_storage_warm_entries_restored_total",
-                    "Warm cache entries restored (verifier-approved)",
-                    t.storage.warm_entries_restored);
-    snap.AddCounter("fc_storage_warm_entries_rejected_total",
-                    "Warm cache entries rejected by the restore verifier",
-                    t.storage.warm_entries_rejected);
-  }
-
   std::sort(snap.metrics.begin(), snap.metrics.end(),
             [](const obs::MetricSnapshot& a, const obs::MetricSnapshot& b) {
               return a.name < b.name;
@@ -374,12 +349,12 @@ std::string HealthJson(uint64_t id, const ServiceTelemetry& t) {
   // Degraded verdicts come from the watchdog: a stuck query, a stalled
   // admission queue, or a window where most answers blew their deadline.
   std::vector<std::string> reasons;
-  if (t.has_watchdog) {
-    if (t.watchdog.currently_stuck > 0) reasons.push_back("stalled_query");
-    if (t.watchdog.queue_stalled_now) {
+  if (t.watchdog) {
+    if (t.watchdog->currently_stuck > 0) reasons.push_back("stalled_query");
+    if (t.watchdog->queue_stalled_now) {
       reasons.push_back("admission_queue_stalled");
     }
-    if (t.watchdog.deadline_miss_rate > 0.5) {
+    if (t.watchdog->deadline_miss_rate > 0.5) {
       reasons.push_back("high_deadline_miss_rate");
     }
   }
@@ -403,23 +378,22 @@ std::string HealthJson(uint64_t id, const ServiceTelemetry& t) {
       .Field("journal_events",
              static_cast<unsigned long long>(
                  obs::EventJournal::Default().recorded()));
-  if (t.has_watchdog) {
+  if (t.watchdog) {
+    const obs::WatchdogStats& wd = *t.watchdog;
     w.Key("watchdog")
         .BeginObject()
-        .Field("running", t.watchdog.running)
-        .Field("sweeps", static_cast<unsigned long long>(t.watchdog.sweeps))
+        .Field("running", wd.running)
+        .Field("sweeps", static_cast<unsigned long long>(wd.sweeps))
         .Field("stalled_queries",
-               static_cast<unsigned long long>(t.watchdog.stalled_queries))
+               static_cast<unsigned long long>(wd.stalled_queries))
         .Field("currently_stuck",
-               static_cast<unsigned long long>(t.watchdog.currently_stuck))
-        .Field("fsync_stalls",
-               static_cast<unsigned long long>(t.watchdog.fsync_stalls))
-        .Field("queue_stalls",
-               static_cast<unsigned long long>(t.watchdog.queue_stalls))
-        .Field("queue_stalled_now", t.watchdog.queue_stalled_now)
+               static_cast<unsigned long long>(wd.currently_stuck))
+        .Field("fsync_stalls", static_cast<unsigned long long>(wd.fsync_stalls))
+        .Field("queue_stalls", static_cast<unsigned long long>(wd.queue_stalls))
+        .Field("queue_stalled_now", wd.queue_stalled_now)
         .Field("last_fsync_mean_micros",
-               static_cast<long long>(t.watchdog.last_fsync_mean_micros))
-        .Field("deadline_miss_rate", t.watchdog.deadline_miss_rate)
+               static_cast<long long>(wd.last_fsync_mean_micros))
+        .Field("deadline_miss_rate", wd.deadline_miss_rate)
         .EndObject();
   }
   w.EndObject();

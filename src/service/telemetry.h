@@ -5,13 +5,18 @@
 /// counters (executor, result cache, prepared-plan cache, registry, storage)
 /// plus the process-wide instrument registry (obs/metrics.h), rendered as
 /// either the server's `stats` JSON line or a Prometheus text-exposition
-/// page. The caller assembles a ServiceTelemetry at scrape time from the
-/// components it owns — there is no callback registration, so no dangling
-/// exporter can outlive its component — and the already-maintained counters
-/// cost the hot path nothing extra.
+/// page. Each subsystem's counters are declared once, in one table per
+/// stats struct in telemetry.cc: a row names the member, its `stats` key,
+/// its Prometheus family, kind and HELP text, and both renderers loop over
+/// the same rows, so a new counter is one row that shows up in both. The
+/// caller gathers a ServiceTelemetry at scrape time from the components it
+/// owns (GatherTelemetry) — there is no callback registration, so no
+/// dangling exporter can outlive its component — and the already-maintained
+/// counters cost the hot path nothing extra.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,11 +39,20 @@ struct ServiceTelemetry {
   ResultCacheStats cache;
   PreparedGraphCacheStats prepared;
   ExecutorMetrics executor;
-  storage::StorageCounters storage;
-  bool has_storage = false;  // storage{} is meaningless when false
-  obs::WatchdogStats watchdog;
-  bool has_watchdog = false;  // watchdog{} is meaningless when false
+  std::optional<storage::StorageCounters> storage;  // durable servers only
+  std::optional<obs::WatchdogStats> watchdog;       // when a watchdog runs
 };
+
+/// Snapshots the components a service owns. `registry` and `executor` are
+/// required; a null cache, prepared-plan cache, storage manager or watchdog
+/// leaves its part of the snapshot default (storage and watchdog: absent,
+/// so `stats`, Prometheus and `health` omit their sections).
+ServiceTelemetry GatherTelemetry(
+    const GraphRegistry& registry, const QueryExecutor& executor,
+    const ResultCache* cache = nullptr,
+    const PreparedGraphCache* prepared = nullptr,
+    const storage::StorageManager* storage = nullptr,
+    const obs::Watchdog* watchdog = nullptr);
 
 /// The server's `stats` response line: registry contents + per-subsystem
 /// counter objects, serialized through wire::JsonWriter.

@@ -10,10 +10,12 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/max_fair_clique.h"
+#include "obs/event_journal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/graph_registry.h"
@@ -36,26 +38,18 @@ std::shared_ptr<const RegisteredGraph> RegisterGraph(GraphRegistry& registry,
   return registry.Get(name);
 }
 
-ServiceTelemetry Gather(const GraphRegistry& registry,
-                        const QueryExecutor& executor,
-                        const ResultCache* cache) {
-  ServiceTelemetry t;
-  t.graphs = registry.List();
-  t.registry = registry.Stats();
-  if (cache != nullptr) t.cache = cache->Stats();
-  t.executor = executor.metrics();
-  return t;
-}
-
 /// Structural validator for Prometheus text exposition 0.0.4: every sample
-/// line parses as `name[{labels}] value`, every TYPE is known, histogram
-/// bucket series are cumulative and end at le="+Inf" == the family _count.
+/// line parses as `name[{labels}] value`, every TYPE is known and declared
+/// once per family, every sample belongs to a declared family (histogram
+/// samples via their _bucket/_sum/_count suffix), and histogram bucket
+/// series are cumulative and end at le="+Inf" == the family _count.
 ::testing::AssertionResult ValidExposition(const std::string& text) {
   if (text.empty() || text.back() != '\n') {
     return ::testing::AssertionFailure() << "must end with a newline";
   }
   std::istringstream in(text);
   std::string line;
+  std::map<std::string, std::string> types;  // family -> declared TYPE
   std::string cur_hist;       // histogram family currently being walked
   long long prev_bucket = -1; // last cumulative bucket count seen
   long long inf_count = -1;   // the family's +Inf bucket
@@ -72,8 +66,12 @@ ServiceTelemetry Gather(const GraphRegistry& registry,
       if (type != "counter" && type != "gauge" && type != "histogram") {
         return ::testing::AssertionFailure() << "unknown type: " << line;
       }
+      const std::string family = line.substr(7, sp - 7);
+      if (!types.emplace(family, type).second) {
+        return ::testing::AssertionFailure() << "second # TYPE: " << line;
+      }
       if (type == "histogram") {
-        cur_hist = line.substr(7, sp - 7);
+        cur_hist = family;
         prev_bucket = -1;
         inf_count = -1;
       }
@@ -90,6 +88,19 @@ ServiceTelemetry Gather(const GraphRegistry& registry,
     std::strtod(value.c_str(), &end);
     if (end == value.c_str() || *end != '\0') {
       return ::testing::AssertionFailure() << "bad value in: " << line;
+    }
+    // The sample's family is its name, or a histogram's name less the
+    // _bucket/_sum/_count suffix.
+    const std::string name = line.substr(0, line.find_first_of("{ "));
+    bool typed = types.count(name) > 0;
+    for (const std::string_view suffix : {"_bucket", "_sum", "_count"}) {
+      if (!typed && name.ends_with(suffix)) {
+        const auto it = types.find(name.substr(0, name.size() - suffix.size()));
+        typed = it != types.end() && it->second == "histogram";
+      }
+    }
+    if (!typed) {
+      return ::testing::AssertionFailure() << "sample without # TYPE: " << line;
     }
     if (!cur_hist.empty() && line.rfind(cur_hist + "_bucket{le=\"", 0) == 0) {
       const long long count = std::atoll(value.c_str());
@@ -110,6 +121,18 @@ ServiceTelemetry Gather(const GraphRegistry& registry,
   return ::testing::AssertionSuccess();
 }
 
+TEST(TelemetryExportTest, ValidatorRejectsRepeatedAndUntypedFamilies) {
+  EXPECT_TRUE(ValidExposition(
+      "# TYPE a counter\na 1\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\n"
+      "h_sum 3\nh_count 2\n# EOF\n"));
+  // One family declared twice (a duplicated table row).
+  EXPECT_FALSE(ValidExposition(
+      "# TYPE a counter\na 1\n# TYPE a counter\na 1\n# EOF\n"));
+  // A sample with no # TYPE, and a suffix only a histogram may strip.
+  EXPECT_FALSE(ValidExposition("# TYPE a counter\nb 1\n# EOF\n"));
+  EXPECT_FALSE(ValidExposition("# TYPE a counter\na_count 1\n# EOF\n"));
+}
+
 TEST(TelemetryExportTest, StatsJsonLineIsWellFormedJson) {
   GraphRegistry registry;
   auto graph = RegisterGraph(registry, "g", MakeGraph("ab", {{0, 1}}));
@@ -121,7 +144,8 @@ TEST(TelemetryExportTest, StatsJsonLineIsWellFormedJson) {
   request.options = BaselineOptions(1, 0);
   ASSERT_TRUE(executor.Submit(request).get().status.ok());
 
-  std::string json = StatsJson(7, Gather(registry, executor, &cache));
+  std::string json =
+      StatsJson(7, GatherTelemetry(registry, executor, &cache));
   EXPECT_NE(json.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(json.find("\"id\":7"), std::string::npos);
   EXPECT_NE(json.find("\"graphs\":[{\"name\":\"g\""), std::string::npos);
@@ -149,7 +173,8 @@ TEST(TelemetryExportTest, PrometheusPageValidatesAndCoversFamilies) {
   ASSERT_TRUE(executor.Submit(request).get().status.ok());
   ASSERT_TRUE(executor.Submit(request).get().status.ok());  // cache hit
 
-  std::string text = PrometheusText(Gather(registry, executor, &cache));
+  std::string text =
+      PrometheusText(GatherTelemetry(registry, executor, &cache));
   EXPECT_TRUE(ValidExposition(text)) << text;
 
   // The three required latency histograms are present as histogram families
@@ -332,8 +357,8 @@ TEST(TelemetryExportTest, EveryServiceCounterAgreesAcrossStatsAndPrometheus) {
   t.prepared = {301, 302, 303, 304, 305, 306, 307, 308};
   t.executor = {401, 402, 403, 404, 405, 406, 407, 408, 409, 410, 411,
                 412, 413, 414, 415, 416, 417, 418, 419, 420, 421};
-  t.storage = {501, 502, 503, 504, 505, 506, 507, 508, 509, 510};
-  t.has_storage = true;
+  t.storage = storage::StorageCounters{501, 502, 503, 504, 505,
+                                       506, 507, 508, 509, 510};
 
   struct Pin {
     const char* object;
@@ -346,7 +371,7 @@ TEST(TelemetryExportTest, EveryServiceCounterAgreesAcrossStatsAndPrometheus) {
       {"registry", "restores", "fc_registry_restores_total", 102},
       {"registry", "replaces", "fc_registry_replaces_total", 103},
       {"registry", "evictions", "fc_registry_evictions_total", 104},
-      // registry.graphs (fc_registry_graphs, 105) has no stats-JSON key yet.
+      {"registry", "graphs", "fc_registry_graphs", 105},
       {"cache", "hits", "fc_result_cache_hits_total", 201},
       {"cache", "misses", "fc_result_cache_misses_total", 202},
       {"cache", "insertions", "fc_result_cache_insertions_total", 203},
@@ -529,6 +554,54 @@ TEST(TelemetryExecutorTest, MetricsStayMonotonicUnderQueryStorm) {
   EXPECT_GT(m.cache_hits, 0u);
 }
 
+/// The kQueryFinish events the process journal holds for one trace.
+std::vector<obs::Event> FinishEvents(uint64_t trace_id) {
+  std::vector<obs::Event> out;
+  for (const obs::Event& e : obs::EventJournal::Default().Snapshot()) {
+    if (e.type == obs::EventType::kQueryFinish && e.a == trace_id) {
+      out.push_back(e);
+    }
+  }
+  return out;
+}
+
+TEST(TelemetryExecutorTest, BothFinishPathsJournalMissesOnceAndHitsNever) {
+  GraphRegistry registry;
+  auto graph =
+      RegisterGraph(registry, "journaled", RandomAttributedGraph(60, 0.2, 7));
+  ResultCache cache(8);
+  QueryExecutor executor(ExecutorOptions{2, 8}, &cache);
+
+  QueryRequest request;
+  request.graph = graph;
+  for (const bool pool : {true, false}) {
+    SCOPED_TRACE(pool ? "Submit" : "Run");
+    // A fresh key per path: the first query misses, the second hits.
+    request.options = BaselineOptions(pool ? 1 : 2, 1);
+    auto answer = [&] {
+      return pool ? executor.Submit(request).get() : executor.Run(request);
+    };
+    const QueryResponse miss = answer();
+    const QueryResponse hit = answer();
+    ASSERT_TRUE(miss.status.ok());
+    ASSERT_FALSE(miss.cache_hit);
+    ASSERT_TRUE(hit.cache_hit);
+    ASSERT_NE(miss.trace_id, 0u);
+    ASSERT_NE(hit.trace_id, 0u);
+
+    const std::vector<obs::Event> finished = FinishEvents(miss.trace_id);
+    ASSERT_EQ(finished.size(), 1u);
+    EXPECT_STREQ(finished[0].label, "journaled");
+    EXPECT_TRUE(FinishEvents(hit.trace_id).empty());
+    if (!pool) {
+      // The synchronous path never waits in a queue.
+      EXPECT_EQ(miss.queue_micros, 0);
+      EXPECT_EQ(hit.queue_micros, 0);
+    }
+  }
+  EXPECT_EQ(executor.metrics().served, 4u);
+}
+
 TEST(TelemetryTraceTest, SlowQueryEntersSlowlogWithTiledSpans) {
   obs::Slowlog::Default().Reset();  // empty log admits everything
   GraphRegistry registry;
@@ -632,14 +705,14 @@ TEST(TelemetryExportTest, StatsAndPrometheusCarryStopAndWorkerFamilies) {
   request.options.node_limit = 64;
   ASSERT_TRUE(executor.Submit(request).get().status.ok());
 
-  std::string json = StatsJson(1, Gather(registry, executor, nullptr));
+  std::string json = StatsJson(1, GatherTelemetry(registry, executor));
   EXPECT_NE(json.find("\"stopped_node_limit\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"stopped_time_limit\":0"), std::string::npos);
   EXPECT_NE(json.find("\"stopped_deadline\":0"), std::string::npos);
   EXPECT_NE(json.find("\"num_workers\":2"), std::string::npos);
   EXPECT_NE(json.find("\"active_workers\":"), std::string::npos);
 
-  std::string text = PrometheusText(Gather(registry, executor, nullptr));
+  std::string text = PrometheusText(GatherTelemetry(registry, executor));
   EXPECT_TRUE(ValidExposition(text)) << text;
   EXPECT_NE(text.find("fc_executor_stopped_node_limit_total 1"),
             std::string::npos)
@@ -674,7 +747,7 @@ TEST(TelemetryExportTest, InflightGaugesReflectTheProgressRegistry) {
   rec->SetUpperBound(11);
   GraphRegistry registry;
   QueryExecutor executor(ExecutorOptions{1, 4}, nullptr);
-  std::string text = PrometheusText(Gather(registry, executor, nullptr));
+  std::string text = PrometheusText(GatherTelemetry(registry, executor));
   obs::ProgressRegistry::Default().Unregister(0xFEED);
 
   EXPECT_TRUE(ValidExposition(text)) << text;
@@ -787,7 +860,7 @@ TEST(TelemetryHealthTest, HealthyServiceReportsOkWithContext) {
   RegisterGraph(registry, "g", MakeGraph("ab", {{0, 1}}));
   QueryExecutor executor(ExecutorOptions{1, 4}, nullptr);
 
-  ServiceTelemetry t = Gather(registry, executor, nullptr);
+  ServiceTelemetry t = GatherTelemetry(registry, executor);
   std::string json = HealthJson(3, t);
   EXPECT_NE(json.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(json.find("\"id\":3"), std::string::npos);
@@ -804,12 +877,12 @@ TEST(TelemetryHealthTest, HealthyServiceReportsOkWithContext) {
 TEST(TelemetryHealthTest, WatchdogFindingsDegradeTheVerdict) {
   GraphRegistry registry;
   QueryExecutor executor(ExecutorOptions{1, 4}, nullptr);
-  ServiceTelemetry t = Gather(registry, executor, nullptr);
-  t.has_watchdog = true;
-  t.watchdog.running = true;
-  t.watchdog.currently_stuck = 2;
-  t.watchdog.queue_stalled_now = true;
-  t.watchdog.deadline_miss_rate = 0.75;
+  ServiceTelemetry t = GatherTelemetry(registry, executor);
+  t.watchdog.emplace();
+  t.watchdog->running = true;
+  t.watchdog->currently_stuck = 2;
+  t.watchdog->queue_stalled_now = true;
+  t.watchdog->deadline_miss_rate = 0.75;
 
   std::string json = HealthJson(4, t);
   EXPECT_NE(json.find("\"status\":\"degraded\""), std::string::npos);
@@ -829,7 +902,7 @@ TEST(TelemetryHealthTest, WatchdogFindingsDegradeTheVerdict) {
 TEST(TelemetryExportTest, StatsCarriesUptimeAndBuildIdentity) {
   GraphRegistry registry;
   QueryExecutor executor(ExecutorOptions{1, 4}, nullptr);
-  std::string json = StatsJson(1, Gather(registry, executor, nullptr));
+  std::string json = StatsJson(1, GatherTelemetry(registry, executor));
   EXPECT_NE(json.find("\"uptime_seconds\":"), std::string::npos);
   EXPECT_NE(json.find("\"build\":{\"version\":"), std::string::npos);
   EXPECT_NE(json.find("\"build_type\":"), std::string::npos);
@@ -842,7 +915,7 @@ TEST(TelemetryExportTest, PrometheusCarriesBuildInfoAndWatchdogFamilies) {
   // Constructing a watchdog interns its fc_watchdog_* instruments.
   obs::Watchdog dog(obs::WatchdogOptions{});
 
-  std::string text = PrometheusText(Gather(registry, executor, nullptr));
+  std::string text = PrometheusText(GatherTelemetry(registry, executor));
   EXPECT_TRUE(ValidExposition(text)) << text;
   EXPECT_NE(text.find("fc_build_info{version=\""), std::string::npos);
   EXPECT_NE(text.find("build_type=\""), std::string::npos);

@@ -22,7 +22,6 @@
 #include "graph/triangles.h"
 #include "reduction/colorful_core.h"
 #include "reduction/colorful_support.h"
-#include "reduction/support_decomposition.h"
 
 namespace fairclique {
 namespace {
@@ -113,17 +112,6 @@ void BM_ColorfulPathBound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ColorfulPathBound)->Arg(1000)->Arg(4000);
-
-void BM_SupportDecomposition(benchmark::State& state) {
-  AttributedGraph g = MakeBenchGraph(state.range(0), 12.0);
-  Coloring c = GreedyColoring(g);
-  for (auto _ : state) {
-    SupportDecomposition d = ComputeColorfulSupportNumbers(g, c);
-    benchmark::DoNotOptimize(d.max_k);
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_edges());
-}
-BENCHMARK(BM_SupportDecomposition)->Arg(1000)->Arg(4000);
 
 void BM_SearchVectorEngine(benchmark::State& state) {
   Rng rng(0x5EA);

@@ -15,7 +15,6 @@
 // edge-list file; attributes default to Bernoulli(1/2) when no file given.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -57,18 +56,22 @@ bool ParseArgs(int argc, char** argv, Args* out) {
   out->graph = argv[2];
   int i = 3;
   if (i < argc && argv[i][0] != '-') out->attrs = argv[i++];
-  for (; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--k") == 0 && i + 1 < argc) {
-      out->k = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--delta") == 0 && i + 1 < argc) {
-      out->delta = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--limit") == 0 && i + 1 < argc) {
-      out->limit = std::strtoull(argv[++i], nullptr, 10);
+  // As on the server's wire, k and delta stay far below int overflow.
+  constexpr uint64_t kMaxParam = uint64_t{1} << 24;
+  for (; i + 1 < argc; i += 2) {
+    const std::string flag = argv[i];
+    uint64_t v = 0;
+    if (flag == "--k" && ParseU64(argv[i + 1], &v, kMaxParam)) {
+      out->k = static_cast<int>(v);
+    } else if (flag == "--delta" && ParseU64(argv[i + 1], &v, kMaxParam)) {
+      out->delta = static_cast<int>(v);
+    } else if (flag == "--limit" && ParseU64(argv[i + 1], &v)) {
+      out->limit = v;
     } else {
       return false;
     }
   }
-  return out->k >= 1 && out->delta >= 0;
+  return i == argc && out->k >= 1;
 }
 
 bool IsBuiltin(const std::string& name) {

@@ -95,6 +95,7 @@
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -791,29 +792,46 @@ int main(int argc, char** argv) {
   bool watchdog_enabled = true;
   std::string data_dir;
   std::string script;
+  // A numeric flag's value: digits only and at most `max`, else usage.
+  constexpr uint64_t kMaxSize = std::numeric_limits<size_t>::max();
+  constexpr uint64_t kMaxMs = std::numeric_limits<int64_t>::max() / 1000;
+  uint64_t n = 0;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--workers" && i + 1 < argc) workers = std::atoi(argv[++i]);
-    else if (arg == "--cache" && i + 1 < argc) {
-      cache_capacity = static_cast<size_t>(std::atoll(argv[++i]));
+    auto number = [&](uint64_t max) {
+      if (ParseU64(argv[++i], &n, max)) return true;
+      std::fprintf(stderr, "bad %s '%s' (want an integer in [0, %llu])\n",
+                   arg.c_str(), argv[i], static_cast<unsigned long long>(max));
+      return false;
+    };
+    if (arg == "--workers" && i + 1 < argc) {
+      if (!number(std::numeric_limits<int>::max())) return Usage();
+      workers = static_cast<int>(n);
+    } else if (arg == "--cache" && i + 1 < argc) {
+      if (!number(kMaxSize)) return Usage();
+      cache_capacity = n;
     } else if (arg == "--prepared" && i + 1 < argc) {
-      prepared_capacity = static_cast<size_t>(std::atoll(argv[++i]));
+      if (!number(kMaxSize)) return Usage();
+      prepared_capacity = n;
     } else if (arg == "--queue" && i + 1 < argc) {
-      queue_capacity = static_cast<size_t>(std::atoll(argv[++i]));
+      if (!number(kMaxSize)) return Usage();
+      queue_capacity = n;
     } else if (arg == "--data-dir" && i + 1 < argc) {
       data_dir = argv[++i];
     } else if (arg == "--wal-compact" && i + 1 < argc) {
-      wal_compact = static_cast<size_t>(std::atoll(argv[++i]));
+      if (!number(kMaxSize)) return Usage();
+      wal_compact = n;
     } else if (arg == "--wal-group-window" && i + 1 < argc) {
-      wal_group_window = std::atoll(argv[++i]);
+      if (!number(std::numeric_limits<int64_t>::max())) return Usage();
+      wal_group_window = static_cast<int64_t>(n);
     } else if (arg == "--slowlog" && i + 1 < argc) {
       // Re-caps the process-wide slowlog before any query runs.
-      obs::Slowlog::Default().Reset(
-          static_cast<size_t>(std::atoll(argv[++i])));
+      if (!number(kMaxSize)) return Usage();
+      obs::Slowlog::Default().Reset(n);
     } else if (arg == "--journal" && i + 1 < argc) {
       // Re-sizes the per-thread event rings before anything records.
-      obs::EventJournal::Default().ResizeForStartup(
-          static_cast<size_t>(std::atoll(argv[++i])));
+      if (!number(kMaxSize)) return Usage();
+      obs::EventJournal::Default().ResizeForStartup(n);
     } else if (arg == "--log-level" && i + 1 < argc) {
       LogLevel level;
       if (!ParseLogLevel(argv[++i], &level)) {
@@ -823,9 +841,11 @@ int main(int argc, char** argv) {
       }
       SetLogLevel(level);
     } else if (arg == "--watchdog-interval-ms" && i + 1 < argc) {
-      watchdog_options.interval_micros = std::atoll(argv[++i]) * 1000;
+      if (!number(kMaxMs)) return Usage();
+      watchdog_options.interval_micros = static_cast<int64_t>(n) * 1000;
     } else if (arg == "--watchdog-stall-ms" && i + 1 < argc) {
-      watchdog_options.stall_after_micros = std::atoll(argv[++i]) * 1000;
+      if (!number(kMaxMs)) return Usage();
+      watchdog_options.stall_after_micros = static_cast<int64_t>(n) * 1000;
     } else if (arg == "--no-watchdog") {
       watchdog_enabled = false;
     } else if (arg == "--help" || arg == "-h" || arg[0] == '-') {

@@ -40,7 +40,6 @@
 #include "reduction/colorful_core.h"
 #include "reduction/colorful_support.h"
 #include "reduction/reduce.h"
-#include "reduction/support_decomposition.h"
 #include "service/graph_registry.h"
 #include "service/prepared_graph_cache.h"
 #include "service/query_executor.h"

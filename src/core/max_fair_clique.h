@@ -27,29 +27,15 @@ enum class SearchEngine {
   kBitset,  // Word-parallel candidate bitsets; fastest on dense residues.
 };
 
-/// Vertex ordering used by the ordered branch enumeration. The paper's
-/// CalColorOD (colorful-core peeling order) is the default; the others are
-/// ablation alternatives (bench_ablation section f).
-enum class BranchOrder {
-  kColorfulCore,  // CalColorOD: colorful-core peel order (paper default).
-  kDegeneracy,    // Plain k-core peel order.
-  kDegree,        // Ascending degree; no peeling information.
-};
-
-/// Number of BranchOrder enumerators; sizes the per-order memo arrays in
-/// PreparedComponent (static_asserted there — update both together).
-inline constexpr int kBranchOrderCount = 3;
-
 /// Configuration of the maximum relative fair clique search (Algorithm 2
-/// with the pruning arsenal of Sections III-V).
+/// with the pruning arsenal of Sections III-V). The branch order is always
+/// CalColorOD and the bounds always apply at the first two branch depths
+/// (kBoundDepth in core/prepared_graph.cc); neither is an option.
 struct SearchOptions {
   FairnessParams params;
 
   /// Branch kernel selection (see SearchEngine).
   SearchEngine engine = SearchEngine::kAuto;
-
-  /// Vertex ordering for the branch enumeration (see BranchOrder).
-  BranchOrder order = BranchOrder::kColorfulCore;
 
   /// Graph reduction stages run before the search (Alg. 2 lines 1-3). All
   /// three on = the paper's MaxRFC; toggled off for ablation.
@@ -73,12 +59,6 @@ struct SearchOptions {
   /// returned witness may differ — which is why the field is excluded from
   /// CanonicalOptionsKey.
   std::vector<VertexId> warm_start;
-
-  /// Apply the configured (expensive) upper bounds at branch depths strictly
-  /// below this value. Depth 0 is each connected component's root; depth 1
-  /// re-checks after the first vertex is chosen ("when selecting vertices to
-  /// be added to R for the first time", Section VI-A).
-  int bound_depth = 2;
 
   /// Safety valves: stop and mark the result incomplete after this many
   /// branch nodes / seconds (0 = unlimited). The node limit applies per

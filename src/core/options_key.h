@@ -19,11 +19,11 @@ namespace fairclique {
 ///    as unspecified (as they already do for task scheduling).
 ///
 /// Everything that can change the returned clique or the `completed` flag is
-/// included: fairness parameters, branch order, reduction toggles, bound
-/// configuration, heuristic priming, bound depth, and the node/time safety
-/// valves. In particular the three presets (BaselineOptions, BoundedOptions,
-/// FullOptions) resolve to distinct keys, while any two call sites building
-/// equal options — by preset or by hand — collide on the same key.
+/// included: fairness parameters, reduction toggles, bound configuration,
+/// heuristic priming, and the node/time safety valves. In particular the
+/// three presets (BaselineOptions, BoundedOptions, FullOptions) resolve to
+/// distinct keys, while any two call sites building equal options — by
+/// preset or by hand — collide on the same key.
 std::string CanonicalOptionsKey(const SearchOptions& options);
 
 }  // namespace fairclique

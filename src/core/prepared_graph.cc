@@ -1,7 +1,6 @@
 #include "core/prepared_graph.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <deque>
 #include <numeric>
 #include <utility>
@@ -15,7 +14,6 @@
 #include "core/heuristics.h"
 #include "core/verifier.h"
 #include "graph/coloring.h"
-#include "graph/cores.h"
 #include "obs/profiler.h"
 #include "obs/progress.h"
 #include "reduction/colorful_core.h"
@@ -32,30 +30,17 @@ void RaiseFloor(std::atomic<int64_t>* floor, int64_t value) {
   }
 }
 
-// Rank positions for the configured branch ordering.
-std::vector<uint32_t> ComputeBranchPositions(const AttributedGraph& comp,
-                                             BranchOrder order) {
-  switch (order) {
-    case BranchOrder::kColorfulCore: {
-      Coloring coloring = GreedyColoring(comp);
-      return ComputeColorfulCores(comp, coloring).position;
-    }
-    case BranchOrder::kDegeneracy:
-      return ComputeCores(comp).position;
-    case BranchOrder::kDegree: {
-      // Stable ascending-degree ranks.
-      std::vector<VertexId> verts(comp.num_vertices());
-      std::iota(verts.begin(), verts.end(), 0);
-      std::stable_sort(verts.begin(), verts.end(),
-                       [&comp](VertexId a, VertexId b) {
-                         return comp.degree(a) < comp.degree(b);
-                       });
-      std::vector<uint32_t> position(comp.num_vertices());
-      for (uint32_t i = 0; i < verts.size(); ++i) position[verts[i]] = i;
-      return position;
-    }
-  }
-  return {};
+// The configured (expensive) upper bounds run at branch depths strictly
+// below this: depth 0 is each component's root, depth 1 re-checks once the
+// first vertex is chosen. Section VI-A applies them "when selecting vertices
+// to be added to R for the first time"; deeper nodes would pay an O(E(G'))
+// induced-subgraph build each for bounds that rarely beat |R| + |C| there.
+constexpr int kBoundDepth = 2;
+
+// CalColorOD: rank positions in colorful-core peel order.
+std::vector<uint32_t> ComputeBranchPositions(const AttributedGraph& comp) {
+  Coloring coloring = GreedyColoring(comp);
+  return ComputeColorfulCores(comp, coloring).position;
 }
 
 // Candidate-set policies for the one Branch kernel below. A policy owns a
@@ -218,10 +203,10 @@ std::vector<Attribute> AttributesByRank(const AttributedGraph& comp,
 }
 
 // Branch-and-bound over one connected component, with vertices relabeled to
-// their rank under the configured branch order (CalColorOD by default):
-// candidate sets only ever contain ranks greater than the last added
-// vertex, so every clique of the component is enumerated exactly once,
-// from its lowest-ranked vertex. `Candidates` is one of the policies above.
+// their rank in CalColorOD order: candidate sets only ever contain ranks
+// greater than the last added vertex, so every clique of the component is
+// enumerated exactly once, from its lowest-ranked vertex. `Candidates` is
+// one of the policies above.
 template <typename Candidates>
 class ComponentSearch {
  public:
@@ -345,7 +330,7 @@ class ComponentSearch {
     }
     // Configured upper bounds on the induced subgraph of R ∪ C, at shallow
     // depths only (building the subgraph is O(E(G')) per node).
-    if (depth < options_.bound_depth &&
+    if (depth < kBoundDepth &&
         (options_.bounds.use_advanced ||
          options_.bounds.extra != ExtraBound::kNone)) {
       if (UpperBoundOf(cand, cand_size) < Target()) {
@@ -420,13 +405,10 @@ uint64_t ArenaBytesFor(VertexId n) {
 
 }  // namespace
 
-const std::vector<uint32_t>& PreparedComponent::BranchPositions(
-    BranchOrder order) const {
-  int i = static_cast<int>(order);
-  std::call_once(position_once_[i], [this, order, i] {
-    positions_[i] = ComputeBranchPositions(graph, order);
-  });
-  return positions_[i];
+const std::vector<uint32_t>& PreparedComponent::BranchPositions() const {
+  std::call_once(position_once_,
+                 [this] { positions_ = ComputeBranchPositions(graph); });
+  return positions_;
 }
 
 bool PreparedGraph::Compatible(const SearchOptions& options) const {
@@ -441,16 +423,10 @@ bool PreparedGraph::Compatible(const SearchOptions& options) const {
 uint64_t BitsetArenaBudgetBytes() {
   static const uint64_t budget = [] {
     constexpr uint64_t kMiB = 1024 * 1024;
-    // Explicit override wins (benchmarks and tests pin the decision).
-    if (const char* env = std::getenv("FAIRCLIQUE_BITSET_BUDGET_BYTES")) {
-      char* end = nullptr;
-      unsigned long long v = std::strtoull(env, &end, 10);
-      if (end != env && v > 0) return static_cast<uint64_t>(v);
-    }
-    // Otherwise size to the last-level cache: the arena should mostly live
-    // there during a branch. Clamped so exotic cache reports cannot make
-    // kAuto wildly aggressive or refuse components the old fixed threshold
-    // (4096 vertices = exactly 2 MiB of arena) accepted.
+    // Size to the last-level cache: the arena should mostly live there
+    // during a branch. Clamped so exotic cache reports cannot make kAuto
+    // wildly aggressive or refuse components the old fixed threshold (4096
+    // vertices = exactly 2 MiB of arena) accepted.
     uint64_t cache = 0;
 #if defined(_SC_LEVEL3_CACHE_SIZE)
     {
@@ -586,7 +562,7 @@ ComponentBranchResult BranchComponent(const PreparedGraph& prepared,
   }
   obs::ProfileScope profile_scope("BranchComponent");
   WallTimer timer;
-  const std::vector<uint32_t>& rank_of = comp.BranchPositions(options.order);
+  const std::vector<uint32_t>& rank_of = comp.BranchPositions();
   if (ResolveEngine(options.engine, comp.graph.num_vertices()) ==
       SearchEngine::kBitset) {
     ComponentSearch<BitsetSets>(comp, rank_of, options, deadline, floor, &out)

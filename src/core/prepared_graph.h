@@ -17,34 +17,31 @@
 namespace fairclique {
 
 /// One connected component of the reduced graph, relabeled to local vertex
-/// ids, with its branch orderings memoized per BranchOrder. The orderings
-/// are the delta-independent half of the branch stage: CalColorOD (or the
-/// ablation orders) depends only on the component's structure, so a
-/// delta-sweep over one PreparedGraph computes each ordering once.
+/// ids, with its CalColorOD branch ordering memoized. The ordering is the
+/// delta-independent half of the branch stage: it depends only on the
+/// component's structure, so a delta-sweep over one PreparedGraph computes
+/// it once.
 struct PreparedComponent {
   AttributedGraph graph;
   /// Local component vertex id -> id in the *input* graph the plan was
   /// prepared from (the reduction and decomposition maps pre-composed).
   std::vector<VertexId> original_ids;
 
-  /// Rank position of each local vertex under `order`, computed on first
-  /// use and memoized; thread-safe, so concurrent component tasks of
-  /// different queries can share one PreparedComponent.
+  /// Rank position of each local vertex in CalColorOD (colorful-core peel)
+  /// order, computed on first use and memoized; thread-safe, so concurrent
+  /// component tasks of different queries can share one PreparedComponent.
   ///
   /// Only the positions are memoized. The candidate-set policies' rank-space
   /// adjacency (sorted rows / n^2-bit neighbor bitsets) is also
   /// delta-independent but is rebuilt per BranchComponent on purpose: it is
   /// O(E) against an exponential branch stage, while caching it — per
-  /// (order, engine) — in a plan that lives in an LRU would pin up to ~2 MB
-  /// per dense component for as long as the plan stays cached.
-  const std::vector<uint32_t>& BranchPositions(BranchOrder order) const;
+  /// engine — in a plan that lives in an LRU would pin up to ~2 MB per
+  /// dense component for as long as the plan stays cached.
+  const std::vector<uint32_t>& BranchPositions() const;
 
  private:
-  static_assert(static_cast<int>(BranchOrder::kDegree) ==
-                    kBranchOrderCount - 1,
-                "memo arrays below must cover every BranchOrder");
-  mutable std::once_flag position_once_[kBranchOrderCount];
-  mutable std::vector<uint32_t> positions_[kBranchOrderCount];
+  mutable std::once_flag position_once_;
+  mutable std::vector<uint32_t> positions_;
 };
 
 /// The reusable, delta-independent artifact of the first two search stages:
@@ -54,7 +51,7 @@ struct PreparedComponent {
 ///                delta, bounds, engine, and heuristic.
 ///   Decompose  — connected components of the reduced graph, materialized
 ///                as local subgraphs sorted largest-first, each carrying
-///                its original-id map and (lazily) its branch orderings.
+///                its original-id map and (lazily) its branch ordering.
 ///
 /// A PreparedGraph is immutable after PrepareGraph returns (the memoized
 /// orderings are internally synchronized) and is shared across queries as
@@ -127,11 +124,10 @@ struct EngineDecision {
   uint64_t budget_bytes = 0;
 };
 
-/// The memory budget kAuto allows the bitset engine's adjacency arena:
-/// FAIRCLIQUE_BITSET_BUDGET_BYTES when set, otherwise the machine's
-/// last-level cache size clamped to [2 MiB, 32 MiB] (8 MiB when the size
-/// cannot be determined). The 2 MiB floor keeps every component the old
-/// fixed 4096-vertex threshold accepted on the bitset engine.
+/// The memory budget kAuto allows the bitset engine's adjacency arena: the
+/// machine's last-level cache size clamped to [2 MiB, 32 MiB] (8 MiB when
+/// the size cannot be determined). The 2 MiB floor keeps every component
+/// the old fixed 4096-vertex threshold accepted on the bitset engine.
 uint64_t BitsetArenaBudgetBytes();
 
 /// Resolves the engine for a component of `component_vertices` vertices:

@@ -32,6 +32,7 @@ SearchResult IncrementalRequery(const AttributedGraph& g,
           options.time_limit_seconds - total_timer.ElapsedSeconds();
       if (remaining <= 0.0) {
         result.stats.completed = false;
+        result.stats.stop_reason = StopReason::kTimeLimit;
         break;
       }
       local.time_limit_seconds = remaining;
@@ -62,6 +63,8 @@ SearchResult IncrementalRequery(const AttributedGraph& g,
     result.stats.attr_prunes += local_result.stats.attr_prunes;
     result.stats.cap_removals += local_result.stats.cap_removals;
     if (!local_result.stats.completed) result.stats.completed = false;
+    result.stats.stop_reason =
+        std::max(result.stats.stop_reason, local_result.stats.stop_reason);
 
     if (local_result.clique.size() > result.clique.size()) {
       result.clique.attr_counts = local_result.clique.attr_counts;

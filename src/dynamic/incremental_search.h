@@ -30,7 +30,9 @@ namespace fairclique {
 /// results and `base` is therefore exact.
 ///
 /// The returned result reports original vertex ids; stats aggregate the
-/// local searches. `completed` is false if any local search hit a limit.
+/// local searches. `completed` is false if any local search hit a limit or
+/// the time budget ran out between them; `stop_reason` is then the largest
+/// of the local searches' reasons, or kTimeLimit for the budget.
 SearchResult IncrementalRequery(const AttributedGraph& g,
                                 std::span<const Edge> new_edges,
                                 const CliqueResult& base,

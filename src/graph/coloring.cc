@@ -1,10 +1,8 @@
 #include "graph/coloring.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/logging.h"
-#include "graph/cores.h"
 
 namespace fairclique {
 
@@ -29,25 +27,6 @@ std::vector<VertexId> ByDegreeDescending(const AttributedGraph& g,
   for (VertexId v = 0; v < n; ++v) {
     if (mask.vertex(v)) verts[start[dmax - degree[v]]++] = v;
   }
-  return verts;
-}
-
-std::vector<VertexId> OrderVertices(const AttributedGraph& g,
-                                    ColoringOrder order) {
-  switch (order) {
-    case ColoringOrder::kNatural:
-      break;
-    case ColoringOrder::kDegreeDescending:
-      return ByDegreeDescending(g, GraphMask{});
-    case ColoringOrder::kDegeneracy: {
-      // Smallest-last: color in reverse peeling order, which bounds the
-      // number of colors by degeneracy + 1.
-      CoreDecomposition cores = ComputeCores(g);
-      return {cores.peel_order.rbegin(), cores.peel_order.rend()};
-    }
-  }
-  std::vector<VertexId> verts(g.num_vertices());
-  std::iota(verts.begin(), verts.end(), 0);
   return verts;
 }
 
@@ -82,10 +61,6 @@ Coloring ColorInOrder(const AttributedGraph& g,
 }
 
 }  // namespace
-
-Coloring GreedyColoring(const AttributedGraph& g, ColoringOrder order) {
-  return ColorInOrder(g, {}, OrderVertices(g, order));
-}
 
 Coloring GreedyColoring(const AttributedGraph& g, const GraphMask& mask) {
   return ColorInOrder(g, mask.edge_alive, ByDegreeDescending(g, mask));

@@ -8,16 +8,6 @@
 
 namespace fairclique {
 
-/// Vertex orderings for greedy coloring. The paper uses the degree-based
-/// greedy coloring ("color all vertices with a degree-based greedy coloring
-/// algorithm", Alg. 1 line 1); the degeneracy ordering often yields fewer
-/// colors and is provided for ablation.
-enum class ColoringOrder {
-  kDegreeDescending,  // Welsh-Powell: color high-degree vertices first.
-  kDegeneracy,        // Smallest-last (reverse degeneracy) ordering.
-  kNatural,           // Vertex id order; baseline.
-};
-
 /// Result of a proper vertex coloring: colors are dense in [0, num_colors).
 struct Coloring {
   std::vector<ColorId> color;  // size V
@@ -26,22 +16,18 @@ struct Coloring {
   ColorId operator[](VertexId v) const { return color[v]; }
 };
 
-/// Greedy proper coloring: visit vertices in the chosen order, assign the
-/// smallest color absent from already-colored neighbors. Guarantees
-/// num_colors <= max_degree + 1. O(V + E) for kNatural/kDegreeDescending
-/// (counting sort on degree) and O(V + E) for kDegeneracy.
-Coloring GreedyColoring(const AttributedGraph& g,
-                        ColoringOrder order = ColoringOrder::kDegreeDescending);
-
-/// Degree-descending greedy coloring of the subgraph `mask` keeps, on g's
-/// own vertex ids: vertices in order of their degree within the mask,
-/// descending, ties by id, and only alive edges are looked at. Vertices
-/// outside the mask get color -1. The reduction pipeline recolors its
-/// shrinking survivors this way instead of copying them. The colors and
+/// Degree-based greedy proper coloring, the paper's ("color all vertices
+/// with a degree-based greedy coloring algorithm", Alg. 1 line 1), of the
+/// subgraph `mask` keeps (all of g by default), on g's own vertex ids:
+/// vertices in order of their degree within the mask, descending, ties by
+/// id, each given the smallest color absent from its already-colored
+/// neighbors across alive edges. Guarantees num_colors <= max_degree + 1.
+/// Vertices outside the mask get color -1. The reduction pipeline recolors
+/// its shrinking survivors this way instead of copying them. The colors and
 /// num_colors are those of GreedyColoring(g.FilteredSubgraph(mask)) mapped
 /// back through the kept ids, since that renumbering keeps the id order.
-/// GreedyColoring(g) is the same with an empty mask. O(V + E).
-Coloring GreedyColoring(const AttributedGraph& g, const GraphMask& mask);
+/// O(V + E) (counting sort on degree).
+Coloring GreedyColoring(const AttributedGraph& g, const GraphMask& mask = {});
 
 /// True when `coloring` is proper for `g` (no edge joins equal colors) and
 /// colors are within [0, num_colors).

@@ -11,24 +11,20 @@
 
 namespace fairclique {
 
-namespace {
-
-// Parses a non-negative integer token; returns false on any non-digit and
-// on a value past 2^64 - 1.
-bool ParseU64(const std::string& token, uint64_t* out) {
+bool ParseU64(std::string_view token, uint64_t* out, uint64_t max) {
   if (token.empty()) return false;
   uint64_t value = 0;
   for (char c : token) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return false;
     const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
-      return false;
-    }
+    if (digit > max || value > (max - digit) / 10) return false;
     value = value * 10 + digit;
   }
   *out = value;
   return true;
 }
+
+namespace {
 
 bool IsCommentLine(const std::string& line, const std::string& prefixes) {
   for (char c : line) {

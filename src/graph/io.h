@@ -1,12 +1,23 @@
 #ifndef FAIRCLIQUE_GRAPH_IO_H_
 #define FAIRCLIQUE_GRAPH_IO_H_
 
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "graph/graph.h"
 
 namespace fairclique {
+
+/// Parses a non-negative decimal integer: digits only, no sign or
+/// whitespace. Returns false, leaving `out` alone, on an empty token, any
+/// other character, or a value past `max` (at most 2^64 - 1, checked
+/// without overflow). Shared by the text loaders, the storage manifest and
+/// the command-line flags.
+bool ParseU64(std::string_view token, uint64_t* out,
+              uint64_t max = std::numeric_limits<uint64_t>::max());
 
 /// Options controlling edge-list parsing.
 struct EdgeListOptions {

@@ -89,8 +89,8 @@ EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
 /// alive edges. The peel clears the removed edges in `alive`. The index
 /// keeps the input's triangles; Compact(alive) then leaves exactly those
 /// whose three edges survived, the input triangles of a later support peel
-/// on the survivors. That hand-off is how the pipeline and the support
-/// decomposition list triangles once.
+/// on the survivors. That hand-off is how the pipeline lists triangles
+/// once.
 void ColorfulSupPeel(const AttributedGraph& g, const Coloring& coloring, int k,
                      TriangleIndex& index, std::vector<uint8_t>& alive);
 

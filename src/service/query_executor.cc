@@ -21,20 +21,14 @@ namespace {
 /// warm-started full search instead.
 constexpr size_t kMaxIncrementalEdges = 256;
 
-/// Maps a search's stop reason onto the response's wire string. An
-/// incomplete result with no recorded reason (possible on legacy paths that
-/// only cleared `completed`) is attributed to the time valve; a time stop
-/// is reported as "deadline" when the request deadline set the limit.
+/// Maps a search's stop reason onto the response's wire string. A time
+/// stop is reported as "deadline" when the request deadline set the limit.
 const char* ResponseStopReason(const SearchStats& stats,
                                bool deadline_tightened) {
-  StopReason reason = stats.stop_reason;
-  if (reason == StopReason::kNone && !stats.completed) {
-    reason = StopReason::kTimeLimit;
-  }
-  if (reason == StopReason::kTimeLimit && deadline_tightened) {
+  if (stats.stop_reason == StopReason::kTimeLimit && deadline_tightened) {
     return "deadline";
   }
-  return StopReasonName(reason);
+  return StopReasonName(stats.stop_reason);
 }
 
 }  // namespace
@@ -296,11 +290,7 @@ bool QueryExecutor::PreSearch(QueryState& qs) {
 }
 
 void QueryExecutor::CountStop(const QueryState& qs, const SearchStats& stats) {
-  StopReason reason = stats.stop_reason;
-  if (reason == StopReason::kNone && !stats.completed) {
-    reason = StopReason::kTimeLimit;
-  }
-  switch (reason) {
+  switch (stats.stop_reason) {
     case StopReason::kNone:
       break;
     case StopReason::kNodeLimit:

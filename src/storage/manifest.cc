@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "graph/fingerprint.h"
+#include "graph/io.h"
 #include "storage/format_util.h"
 #include "storage/io_util.h"
 
@@ -14,19 +15,6 @@ namespace storage {
 namespace {
 
 constexpr char kHeaderLine[] = "fairclique-manifest v1";
-
-bool ParseU64(const std::string& token, uint64_t* out) {
-  if (token.empty()) return false;
-  uint64_t v = 0;
-  for (char c : token) {
-    if (c < '0' || c > '9') return false;
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (v > (UINT64_MAX - digit) / 10) return false;
-    v = v * 10 + digit;
-  }
-  *out = v;
-  return true;
-}
 
 }  // namespace
 

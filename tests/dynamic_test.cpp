@@ -350,6 +350,44 @@ TEST(CacheMigrationTest, InsertOnlyBatchServesIncrementalExactRequery) {
   EXPECT_EQ(h.executor.metrics().incremental_requeries, 1u);
 }
 
+// A node budget that runs out inside a local search is reported as a node
+// budget stop, by the re-query itself and by the executor serving it.
+TEST(CacheMigrationTest, IncrementalRequeryReportsNodeLimitStop) {
+  ServiceHarness h;
+  ASSERT_TRUE(h.registry.Add("g", FixtureGraph()).ok());
+  SearchOptions options = FixtureOptions();
+  options.node_limit = 1;
+  // The seed already spans the K4, so the first search branches nowhere.
+  QueryResponse first = h.Query("g", options);
+  ASSERT_TRUE(first.status.ok());
+  ASSERT_TRUE(first.result->stats.completed);
+
+  // Vertex 4 joins the K4: each added edge's neighborhood is a K5, whose
+  // search needs more than one branch node.
+  DynamicGraph dyn(FixtureGraph());
+  UpdateSummary summary;
+  ASSERT_TRUE(dyn.Apply({AddEdgeOp(0, 4), AddEdgeOp(1, 4), AddEdgeOp(2, 4),
+                         AddEdgeOp(3, 4)},
+                        &summary)
+                  .ok());
+  SearchResult direct = IncrementalRequery(*dyn.snapshot(), summary.added_edges,
+                                           first.result->clique, options);
+  EXPECT_FALSE(direct.stats.completed);
+  EXPECT_EQ(direct.stats.stop_reason, StopReason::kNodeLimit);
+
+  ASSERT_TRUE(
+      h.registry.Replace("g", dyn.snapshot(), summary.version, &summary).ok());
+  QueryResponse requery = h.Query("g", options);
+  ASSERT_TRUE(requery.status.ok());
+  EXPECT_TRUE(requery.incremental);
+  EXPECT_TRUE(requery.deadline_missed);
+  EXPECT_STREQ(requery.stop_reason, "node_limit");
+  ExecutorMetrics metrics = h.executor.metrics();
+  EXPECT_EQ(metrics.stopped_node_limit, 1u);
+  EXPECT_EQ(metrics.stopped_time_limit, 0u);
+  EXPECT_EQ(metrics.stopped_deadline, 0u);
+}
+
 TEST(CacheMigrationTest, RemovalTouchingCachedCliqueInvalidates) {
   ServiceHarness h;
   ASSERT_TRUE(h.registry.Add("g", FixtureGraph()).ok());

@@ -278,5 +278,23 @@ TEST_F(IoTest, MetisHeaderPastVertexIdRangeIsInvalidArgument) {
   EXPECT_TRUE(LoadMetisGraph(path, &g).IsInvalidArgument());
 }
 
+// The one decimal parser behind the loaders, the manifest and the
+// command-line flags: digits only, bounded by `max` without overflowing.
+TEST(ParseU64Test, DigitsOnlyAndBoundedWithoutOverflow) {
+  uint64_t v = 7;
+  EXPECT_TRUE(ParseU64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_FALSE(ParseU64("18446744073709551616", &v));
+  EXPECT_TRUE(ParseU64("16777216", &v, uint64_t{1} << 24));
+  EXPECT_EQ(v, uint64_t{1} << 24);
+  EXPECT_FALSE(ParseU64("16777217", &v, uint64_t{1} << 24));
+  EXPECT_FALSE(ParseU64("99999999999", &v, uint64_t{1} << 24));
+  EXPECT_FALSE(ParseU64("5", &v, 3));
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "abc", "0x10"}) {
+    EXPECT_FALSE(ParseU64(bad, &v)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(v, uint64_t{1} << 24);  // failures leave the output alone
+}
+
 }  // namespace
 }  // namespace fairclique

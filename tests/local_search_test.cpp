@@ -91,24 +91,18 @@ TEST(LocalSearchTest, HeurRFCOptionWiresItIn) {
   }
 }
 
-// Branch-order ablation correctness: all orderings are exact.
-TEST(BranchOrderTest, AllOrderingsAgreeWithOracle) {
+// The CalColorOD branch order is exact under both candidate-set engines.
+TEST(CalColorODTest, BothEnginesAgreeWithOracle) {
   for (uint64_t seed : {31u, 32u, 33u, 34u}) {
     AttributedGraph g = RandomAttributedGraph(30, 0.35, seed);
     FairnessParams params{2, 1};
     CliqueResult oracle = MaxFairCliqueByEnumeration(g, params);
-    for (BranchOrder order : {BranchOrder::kColorfulCore,
-                              BranchOrder::kDegeneracy, BranchOrder::kDegree}) {
-      for (SearchEngine engine :
-           {SearchEngine::kVector, SearchEngine::kBitset}) {
-        SearchOptions opts = BoundedOptions(2, 1, ExtraBound::kColorfulPath);
-        opts.order = order;
-        opts.engine = engine;
-        SearchResult r = FindMaximumFairClique(g, opts);
-        EXPECT_EQ(r.clique.size(), oracle.size())
-            << "seed=" << seed << " order=" << static_cast<int>(order)
-            << " engine=" << static_cast<int>(engine);
-      }
+    for (SearchEngine engine : {SearchEngine::kVector, SearchEngine::kBitset}) {
+      SearchOptions opts = BoundedOptions(2, 1, ExtraBound::kColorfulPath);
+      opts.engine = engine;
+      SearchResult r = FindMaximumFairClique(g, opts);
+      EXPECT_EQ(r.clique.size(), oracle.size())
+          << "seed=" << seed << " engine=" << static_cast<int>(engine);
     }
   }
 }

@@ -176,23 +176,17 @@ TEST(PreparedGraphTest, OnePlanServesDeltaSweep) {
             FindMaximumFairClique(g, full).clique.size());
 }
 
-// The memoized per-order positions: one plan answers under all three
-// branch orders (identical sizes — ordering never changes the answer), and
-// repeated queries per order reuse the memo (exercised under TSan/ASan via
-// the concurrent service stress test).
-TEST(PreparedGraphTest, AllBranchOrdersShareOnePlan) {
+// The memoized CalColorOD positions: repeated queries on one plan reuse the
+// memo and answer like a fresh search (exercised under TSan/ASan via the
+// concurrent service stress test).
+TEST(PreparedGraphTest, RepeatedQueriesReuseMemoizedPositions) {
   AttributedGraph g = RandomAttributedGraph(80, 0.15, 0x0DDE);
   auto prepared = PrepareGraph(g, 2, {});
-  SearchOptions base = BoundedOptions(2, 2, ExtraBound::kColorfulDegeneracy);
-  size_t expected = FindMaximumFairClique(g, base).clique.size();
-  for (BranchOrder order : {BranchOrder::kColorfulCore,
-                            BranchOrder::kDegeneracy, BranchOrder::kDegree}) {
-    SearchOptions options = base;
-    options.order = order;
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      EXPECT_EQ(SearchPreparedGraph(g, *prepared, options).clique.size(),
-                expected);
-    }
+  SearchOptions options = BoundedOptions(2, 2, ExtraBound::kColorfulDegeneracy);
+  size_t expected = FindMaximumFairClique(g, options).clique.size();
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    EXPECT_EQ(SearchPreparedGraph(g, *prepared, options).clique.size(),
+              expected);
   }
 }
 

@@ -120,8 +120,7 @@ SearchOptions GoldenOptions(int id) {
     case 5: return BoundedOptions(2, 1, ExtraBound::kColorfulDegeneracy);
     case 6: return BoundedOptions(2, 2, ExtraBound::kHIndex);
     case 7: return FullOptions(2, 1, ExtraBound::kColorfulPath);
-    case 8: o.order = BranchOrder::kDegeneracy; return o;
-    case 9: o.order = BranchOrder::kDegree; return o;
+    // 8 and 9 pinned the removed degeneracy and degree branch orders.
     case 10:
       o = BaselineOptions(1, 3);
       o.node_limit = 50;
@@ -147,8 +146,6 @@ constexpr GoldenCounts kGolden[] = {
     {0, 5, 47, 19, 0, 0, 21, 5, true},
     {0, 6, 47, 19, 0, 0, 21, 5, true},
     {0, 7, 33, 13, 0, 0, 20, 5, true},
-    {0, 8, 103, 96, 0, 0, 0, 5, true},
-    {0, 9, 107, 98, 0, 0, 0, 5, true},
     {0, 10, 51, 39, 0, 0, 0, 4, false},
     {0, 11, 218, 181, 17, 0, 0, 5, true},
     {1, 0, 283, 249, 0, 8, 0, 5, true},
@@ -159,8 +156,6 @@ constexpr GoldenCounts kGolden[] = {
     {1, 5, 47, 28, 2, 0, 13, 5, true},
     {1, 6, 47, 28, 2, 0, 13, 5, true},
     {1, 7, 44, 27, 2, 0, 13, 5, true},
-    {1, 8, 67, 62, 0, 0, 0, 5, true},
-    {1, 9, 66, 60, 0, 0, 0, 5, true},
     {1, 10, 51, 41, 0, 0, 0, 4, false},
     {1, 11, 327, 258, 22, 1, 0, 5, true},
     {2, 0, 4186, 4090, 15, 762, 0, 7, true},
@@ -171,8 +166,6 @@ constexpr GoldenCounts kGolden[] = {
     {2, 5, 3605, 3444, 50, 422, 38, 7, true},
     {2, 6, 3029, 2900, 40, 80, 36, 8, true},
     {2, 7, 3903, 3742, 59, 450, 32, 7, true},
-    {2, 8, 4067, 3944, 82, 331, 0, 7, true},
-    {2, 9, 4405, 4257, 74, 520, 0, 7, true},
     {2, 10, 51, 33, 2, 1, 0, 6, false},
     {2, 11, 4174, 3982, 111, 297, 0, 7, true},
     {3, 0, 588, 344, 1, 7, 0, 4, true},
@@ -183,8 +176,6 @@ constexpr GoldenCounts kGolden[] = {
     {3, 5, 5, 3, 0, 0, 0, 4, true},
     {3, 6, 5, 3, 0, 0, 0, 4, true},
     {3, 7, 0, 0, 0, 0, 0, 4, true},
-    {3, 8, 5, 3, 0, 0, 0, 4, true},
-    {3, 9, 5, 3, 0, 0, 0, 4, true},
     {3, 10, 51, 24, 0, 0, 0, 3, false},
     {3, 11, 655, 344, 20, 0, 0, 4, true},
     {4, 0, 3409, 3029, 10, 316, 0, 7, true},
@@ -195,8 +186,6 @@ constexpr GoldenCounts kGolden[] = {
     {4, 5, 762, 599, 8, 5, 98, 7, true},
     {4, 6, 867, 704, 6, 2, 96, 7, true},
     {4, 7, 608, 477, 2, 3, 101, 7, true},
-    {4, 8, 2974, 2700, 48, 25, 0, 7, true},
-    {4, 9, 3173, 2837, 44, 27, 0, 7, true},
     {4, 10, 51, 39, 0, 0, 0, 5, false},
     {4, 11, 2540, 2379, 44, 17, 0, 7, true},
     {5, 0, 3028, 2956, 0, 36, 0, 22, true},
@@ -207,8 +196,6 @@ constexpr GoldenCounts kGolden[] = {
     {5, 5, 502, 216, 0, 7, 264, 22, true},
     {5, 6, 488, 212, 0, 2, 260, 22, true},
     {5, 7, 411, 194, 0, 0, 211, 22, true},
-    {5, 8, 1105, 1083, 0, 11, 0, 22, true},
-    {5, 9, 1089, 1067, 0, 11, 0, 22, true},
     {5, 10, 51, 29, 0, 0, 0, 5, false},
     {5, 11, 2913, 2818, 7, 28, 0, 22, true},
     {6, 0, 8909, 8766, 1, 2175, 0, 22, true},
@@ -219,8 +206,6 @@ constexpr GoldenCounts kGolden[] = {
     {6, 5, 1329, 419, 1, 1, 885, 22, true},
     {6, 6, 1660, 777, 10, 142, 845, 22, true},
     {6, 7, 1, 0, 0, 0, 1, 22, true},
-    {6, 8, 2063, 2031, 0, 35, 0, 22, true},
-    {6, 9, 2376, 2346, 0, 32, 0, 22, true},
     {6, 10, 51, 40, 1, 7, 0, 6, false},
     {6, 11, 9948, 9705, 34, 1897, 0, 22, true},
 };

@@ -2,19 +2,16 @@
 // contribution of the design choices a query can still select —
 //   (a) reduction stages: none / EnColorfulCore only / +ColorfulSup /
 //       +EnColorfulSup (the full pipeline);
-//   (b) heuristic starts: HeurRFC quality with 1 vs 4 vs 16 greedy starts,
-//       and one start plus local search;
-//   (c) branch kernel: sorted-vector vs bitset candidate sets.
-// The branch order (CalColorOD), the colouring order (degree-descending)
-// and the bound depth (2) are fixed, so they have no section. Run at each
+//   (b) branch kernel: sorted-vector vs bitset candidate sets.
+// The branch order (CalColorOD), the colouring order (degree-descending),
+// the bound depth (2) and HeurRFC's single greedy start are fixed, so they
+// have no section. Run at each
 // dataset's default (k, delta); FAIRCLIQUE_BENCH_SCALE shrinks the graphs.
 
 #include <cstdio>
 
 #include "bench_util.h"
 #include "common/logging.h"
-#include "common/timer.h"
-#include "core/heuristics.h"
 
 namespace fairclique {
 namespace {
@@ -52,7 +49,7 @@ void ReductionAblation(const AttributedGraph& g, const DatasetSpec& spec) {
 }
 
 void EngineAblation(const AttributedGraph& g, const DatasetSpec& spec) {
-  std::printf("-- (c) branch kernel: vector vs bitset --\n");
+  std::printf("-- (b) branch kernel: vector vs bitset --\n");
   std::printf("%-24s %14s %12s\n", "engine", "time(µs)", "nodes");
   for (SearchEngine engine : {SearchEngine::kVector, SearchEngine::kBitset}) {
     SearchOptions options = BoundedOptions(spec.default_k, spec.default_delta,
@@ -66,28 +63,6 @@ void EngineAblation(const AttributedGraph& g, const DatasetSpec& spec) {
   }
 }
 
-void HeuristicStartsAblation(const AttributedGraph& g,
-                             const DatasetSpec& spec) {
-  std::printf("-- (b) HeurRFC greedy starts / local search, k=%d delta=%d --\n",
-              spec.default_k, spec.default_delta);
-  std::printf("%-24s %10s %14s\n", "variant", "|clique|", "time(µs)");
-  for (int starts : {1, 4, 16}) {
-    WallTimer timer;
-    HeuristicResult heur =
-        HeurRFC(g, {{spec.default_k, spec.default_delta}, starts, false});
-    std::printf("starts=%-17d %10zu %14lld\n", starts, heur.clique.size(),
-                static_cast<long long>(timer.ElapsedMicros()));
-  }
-  {
-    WallTimer timer;
-    HeuristicResult heur =
-        HeurRFC(g, {{spec.default_k, spec.default_delta}, 1, true});
-    std::printf("%-24s %10zu %14lld\n", "starts=1 + local search",
-                heur.clique.size(),
-                static_cast<long long>(timer.ElapsedMicros()));
-  }
-}
-
 }  // namespace
 }  // namespace fairclique
 
@@ -95,14 +70,13 @@ int main() {
   using namespace fairclique;
   SetLogLevel(LogLevel::kWarning);
   std::printf(
-      "=== Ablation: reductions, heuristic starts, branch kernel ===\n\n");
+      "=== Ablation: reductions, branch kernel ===\n\n");
   for (const char* name : {"themarker-s", "dblp-s", "aminer-s"}) {
     DatasetSpec spec = DatasetByName(name);
     AttributedGraph g = LoadDataset(spec.name, bench::BenchScale());
     std::printf("## %s (|V|=%u |E|=%u)\n", spec.name.c_str(), g.num_vertices(),
                 g.num_edges());
     ReductionAblation(g, spec);
-    HeuristicStartsAblation(g, spec);
     EngineAblation(g, spec);
     std::printf("\n");
   }

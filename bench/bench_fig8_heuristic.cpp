@@ -15,7 +15,7 @@ namespace {
 void RunDataset(const DatasetSpec& spec) {
   AttributedGraph g = LoadDataset(spec.name, bench::BenchScale());
   FairnessParams params{spec.default_k, spec.default_delta};
-  HeuristicResult heur = HeurRFC(g, {params, 1});
+  HeuristicResult heur = HeurRFC(g, params);
   SearchResult exact = bench::TimedSearch(
       g, FullOptions(params.k, params.delta, bench::BestBoundFor(spec.name)));
   std::printf("%-14s k=%d d=%d  HeurRFC=%3zu  MRFC=%3zu  gap=%2zd  %s\n",

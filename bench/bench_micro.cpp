@@ -284,7 +284,7 @@ void EmitKernelMetrics() {
 void BM_HeurRFC(benchmark::State& state) {
   AttributedGraph g = MakeBenchGraph(state.range(0), 12.0);
   for (auto _ : state) {
-    HeuristicResult r = HeurRFC(g, {{3, 2}, 1});
+    HeuristicResult r = HeurRFC(g, {3, 2});
     benchmark::DoNotOptimize(r.clique.size());
   }
 }

@@ -33,7 +33,7 @@ int main() {
 
   // Fast path: the linear-time heuristic (HeurRFC).
   WallTimer heur_timer;
-  HeuristicResult heur = HeurRFC(g, {params, 1});
+  HeuristicResult heur = HeurRFC(g, params);
   int64_t heur_us = heur_timer.ElapsedMicros();
 
   // Exact path: full MaxRFC with bounds and heuristic priming.

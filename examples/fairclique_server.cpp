@@ -15,7 +15,7 @@
 // group-committed (concurrent batches share one fsync; see
 // storage/group_commit.h); --wal-group-window N makes a commit leader
 // linger N microseconds for more batches before syncing (larger groups,
-// higher per-batch latency; default 0).
+// higher per-batch latency; default 0, at most 1000000).
 //
 // Commands:
 //   {"cmd":"load","name":"g","dataset":"dblp-s","scale":1.0}
@@ -792,16 +792,21 @@ int main(int argc, char** argv) {
   bool watchdog_enabled = true;
   std::string data_dir;
   std::string script;
-  // A numeric flag's value: digits only and at most `max`, else usage.
+  // A numeric flag's value: digits only and in [min, max], else usage.
   constexpr uint64_t kMaxSize = std::numeric_limits<size_t>::max();
   constexpr uint64_t kMaxMs = std::numeric_limits<int64_t>::max() / 1000;
+  // Both are added to a steady_clock time point, so they stay far from
+  // overflow; a zero watchdog interval would spin its thread.
+  constexpr uint64_t kMaxWatchdogIntervalMs = 3600 * 1000;  // one hour
+  constexpr uint64_t kMaxWalGroupWindowMicros = 1000 * 1000;  // one second
   uint64_t n = 0;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    auto number = [&](uint64_t max) {
-      if (ParseU64(argv[++i], &n, max)) return true;
-      std::fprintf(stderr, "bad %s '%s' (want an integer in [0, %llu])\n",
-                   arg.c_str(), argv[i], static_cast<unsigned long long>(max));
+    auto number = [&](uint64_t max, uint64_t min = 0) {
+      if (ParseU64(argv[++i], &n, max) && n >= min) return true;
+      std::fprintf(stderr, "bad %s '%s' (want an integer in [%llu, %llu])\n",
+                   arg.c_str(), argv[i], static_cast<unsigned long long>(min),
+                   static_cast<unsigned long long>(max));
       return false;
     };
     if (arg == "--workers" && i + 1 < argc) {
@@ -822,7 +827,7 @@ int main(int argc, char** argv) {
       if (!number(kMaxSize)) return Usage();
       wal_compact = n;
     } else if (arg == "--wal-group-window" && i + 1 < argc) {
-      if (!number(std::numeric_limits<int64_t>::max())) return Usage();
+      if (!number(kMaxWalGroupWindowMicros)) return Usage();
       wal_group_window = static_cast<int64_t>(n);
     } else if (arg == "--slowlog" && i + 1 < argc) {
       // Re-caps the process-wide slowlog before any query runs.
@@ -841,7 +846,7 @@ int main(int argc, char** argv) {
       }
       SetLogLevel(level);
     } else if (arg == "--watchdog-interval-ms" && i + 1 < argc) {
-      if (!number(kMaxMs)) return Usage();
+      if (!number(kMaxWatchdogIntervalMs, 1)) return Usage();
       watchdog_options.interval_micros = static_cast<int64_t>(n) * 1000;
     } else if (arg == "--watchdog-stall-ms" && i + 1 < argc) {
       if (!number(kMaxMs)) return Usage();

@@ -2,8 +2,8 @@
 #define FAIRCLIQUE_COMMON_THREAD_ANNOTATIONS_H_
 
 /// Clang Thread Safety Analysis support: the annotation macro set plus
-/// zero-overhead annotated facades (fc::Mutex, fc::SharedMutex,
-/// fc::MutexLock, fc::CondVar) over the std synchronization types.
+/// zero-overhead annotated facades (fc::Mutex, fc::MutexLock,
+/// fc::CondVar) over the std synchronization types.
 ///
 /// Under clang with -Wthread-safety the annotations make the locking
 /// discipline a compile-time proof: every read/write of a GUARDED_BY member
@@ -30,7 +30,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #if defined(__clang__) && (!defined(SWIG))
 #define FC_THREAD_ANNOTATION__(x) __attribute__((x))
@@ -152,28 +151,6 @@ class CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// Annotated reader/writer mutex over std::shared_mutex.
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() ACQUIRE() { mu_.lock(); }
-  void Unlock() RELEASE() { mu_.unlock(); }
-  bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  void ReaderLock() ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void ReaderUnlock() RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool ReaderTryLock() TRY_ACQUIRE_SHARED(true) { return mu_.try_lock_shared(); }
-
-  void AssertHeld() const ASSERT_CAPABILITY(this) {}
-  void AssertReaderHeld() const ASSERT_SHARED_CAPABILITY(this) {}
-
- private:
-  std::shared_mutex mu_;
-};
-
 /// RAII scoped lock over fc::Mutex — the one way locks are taken in this
 /// codebase. Relockable (clang's documented scoped-capability pattern):
 /// Unlock()/Lock() may bracket a region that must run unlocked, and the
@@ -197,34 +174,6 @@ class SCOPED_CAPABILITY MutexLock {
  private:
   friend class CondVar;
   std::unique_lock<std::mutex> lock_;
-};
-
-/// Scoped shared (reader) lock over fc::SharedMutex.
-class SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.ReaderLock();
-  }
-  ~ReaderMutexLock() RELEASE() { mu_.ReaderUnlock(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// Scoped exclusive (writer) lock over fc::SharedMutex.
-class SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) { mu_.Lock(); }
-  ~WriterMutexLock() RELEASE() { mu_.Unlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable bound to fc::MutexLock. Deliberately has no

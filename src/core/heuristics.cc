@@ -4,7 +4,6 @@
 #include <numeric>
 #include <vector>
 
-#include "core/verifier.h"
 #include "graph/coloring.h"
 #include "graph/cores.h"
 
@@ -78,137 +77,41 @@ CliqueResult GreedyGrow(const AttributedGraph& g,
   return result;
 }
 
-// Shared driver: rank all vertices by score, try the top `num_starts` start
-// vertices, keep the largest grown clique that satisfies fairness.
+// Shared by both passes: one greedy run from the best-scoring vertex, ties
+// to the lower id (max_element keeps the first maximum). Returns the grown
+// clique when it satisfies fairness, else an empty clique.
 CliqueResult RunGreedy(const AttributedGraph& g,
                        const std::vector<int64_t>& score,
-                       const HeuristicOptions& options) {
-  const VertexId n = g.num_vertices();
-  CliqueResult best;
-  if (n == 0) return best;
-  std::vector<VertexId> starts(n);
-  std::iota(starts.begin(), starts.end(), 0);
-  int num_starts = std::max(1, options.num_starts);
-  if (static_cast<VertexId>(num_starts) < n) {
-    std::partial_sort(starts.begin(), starts.begin() + num_starts,
-                      starts.end(), [&](VertexId a, VertexId b) {
-                        return score[a] != score[b] ? score[a] > score[b]
-                                                    : a < b;
-                      });
-    starts.resize(num_starts);
-  }
-  for (VertexId s : starts) {
-    CliqueResult r = GreedyGrow(g, score, s, options.params);
-    if (options.params.Satisfied(r.attr_counts) && r.size() > best.size()) {
-      best = std::move(r);
-    }
-  }
-  return best;
+                       const FairnessParams& params) {
+  if (g.num_vertices() == 0) return {};
+  const auto start = static_cast<VertexId>(
+      std::max_element(score.begin(), score.end()) - score.begin());
+  CliqueResult grown = GreedyGrow(g, score, start, params);
+  if (!params.Satisfied(grown.attr_counts)) return {};
+  return grown;
 }
 
 }  // namespace
 
-CliqueResult DegHeur(const AttributedGraph& g,
-                     const HeuristicOptions& options) {
+CliqueResult DegHeur(const AttributedGraph& g, const FairnessParams& params) {
   std::vector<int64_t> score(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) score[v] = g.degree(v);
-  return RunGreedy(g, score, options);
+  return RunGreedy(g, score, params);
 }
 
 CliqueResult ColorfulDegHeur(const AttributedGraph& g,
-                             const HeuristicOptions& options) {
+                             const FairnessParams& params) {
   Coloring coloring = GreedyColoring(g);
   std::vector<AttrCounts> d = ColorfulDegrees(g, coloring);
   std::vector<int64_t> score(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) score[v] = d[v].Min();
-  return RunGreedy(g, score, options);
+  return RunGreedy(g, score, params);
 }
 
-CliqueResult LocalSearchImprove(const AttributedGraph& g, CliqueResult seed,
-                                const FairnessParams& params) {
-  if (seed.empty() || !params.Satisfied(seed.attr_counts)) return seed;
-  // in_clique flags for O(1) membership tests.
-  std::vector<uint8_t> in_clique(g.num_vertices(), 0);
-  for (VertexId v : seed.vertices) in_clique[v] = 1;
-
-  auto common_neighbors = [&](const std::vector<VertexId>& clique) {
-    // Vertices adjacent to every member (and not members themselves),
-    // found by intersecting from the lowest-degree member.
-    std::vector<VertexId> result;
-    if (clique.empty()) return result;
-    VertexId pivot = clique[0];
-    for (VertexId v : clique) {
-      if (g.degree(v) < g.degree(pivot)) pivot = v;
-    }
-    for (VertexId w : g.neighbors(pivot)) {
-      if (in_clique[w]) continue;
-      bool all = true;
-      for (VertexId v : clique) {
-        if (v != pivot && !g.HasEdge(v, w)) {
-          all = false;
-          break;
-        }
-      }
-      if (all) result.push_back(w);
-    }
-    return result;
-  };
-
-  bool improved = true;
-  while (improved) {
-    improved = false;
-    // ADD: any common neighbor keeping fairness.
-    std::vector<VertexId> ext = common_neighbors(seed.vertices);
-    for (VertexId w : ext) {
-      AttrCounts next = seed.attr_counts;
-      next[g.attribute(w)]++;
-      if (params.Satisfied(next)) {
-        seed.vertices.push_back(w);
-        seed.attr_counts = next;
-        in_clique[w] = 1;
-        improved = true;
-        break;
-      }
-    }
-    if (improved) continue;
-    // SWAP: drop one member, add two mutually-adjacent outsiders.
-    for (size_t drop = 0; drop < seed.vertices.size() && !improved; ++drop) {
-      VertexId out = seed.vertices[drop];
-      std::vector<VertexId> rest = seed.vertices;
-      rest.erase(rest.begin() + static_cast<ptrdiff_t>(drop));
-      in_clique[out] = 0;
-      std::vector<VertexId> ext2 = common_neighbors(rest);
-      AttrCounts rest_cnt = seed.attr_counts;
-      rest_cnt[g.attribute(out)]--;
-      for (size_t i = 0; i < ext2.size() && !improved; ++i) {
-        for (size_t j = i + 1; j < ext2.size(); ++j) {
-          if (!g.HasEdge(ext2[i], ext2[j])) continue;
-          AttrCounts next = rest_cnt;
-          next[g.attribute(ext2[i])]++;
-          next[g.attribute(ext2[j])]++;
-          if (!params.Satisfied(next)) continue;
-          rest.push_back(ext2[i]);
-          rest.push_back(ext2[j]);
-          seed.vertices = rest;
-          seed.attr_counts = next;
-          in_clique[ext2[i]] = 1;
-          in_clique[ext2[j]] = 1;
-          improved = true;
-          break;
-        }
-      }
-      if (!improved) in_clique[out] = 1;  // Undo the tentative drop.
-    }
-  }
-  std::sort(seed.vertices.begin(), seed.vertices.end());
-  return seed;
-}
-
-HeuristicResult HeurRFC(const AttributedGraph& g,
-                        const HeuristicOptions& options) {
+HeuristicResult HeurRFC(const AttributedGraph& g, const FairnessParams& params) {
   HeuristicResult result;
   // Stage 1: degree-based pass on the full graph (Alg. 6 line 1).
-  CliqueResult deg = DegHeur(g, options);
+  CliqueResult deg = DegHeur(g, params);
   result.clique = deg;
 
   // Stage 2: shrink to the (|R*|-1)-core — any larger fair clique survives —
@@ -229,17 +132,12 @@ HeuristicResult HeurRFC(const AttributedGraph& g,
   if (!deg.empty()) {
     shrink_to_core(static_cast<uint32_t>(deg.size()) - 1);
   }
-  CliqueResult colorful = ColorfulDegHeur(current, options);
+  CliqueResult colorful = ColorfulDegHeur(current, params);
   if (colorful.size() > result.clique.size()) {
     // Map back to original ids.
     for (VertexId& v : colorful.vertices) v = ids[v];
     result.clique = colorful;
     shrink_to_core(static_cast<uint32_t>(result.clique.size()) - 1);
-  }
-  // Optional post-optimization with fairness-preserving add/swap moves.
-  if (options.local_search && !result.clique.empty()) {
-    result.clique = LocalSearchImprove(g, std::move(result.clique),
-                                       options.params);
   }
   // Color the surviving graph; its color count bounds any fair clique it
   // still contains (lines 9-10).

@@ -8,18 +8,6 @@
 
 namespace fairclique {
 
-/// Options for the heuristic framework. `num_starts` = 1 reproduces the
-/// paper's Algorithms 5-6 (single greedy pass from the best-scoring vertex);
-/// larger values retry from the next-best start vertices and keep the best
-/// fair clique found. `local_search` post-optimizes the greedy result with
-/// fairness-preserving add/swap moves. Both extensions are off-by-default
-/// paper-faithful knobs measured in bench_ablation.
-struct HeuristicOptions {
-  FairnessParams params;
-  int num_starts = 1;
-  bool local_search = false;
-};
-
 /// Result of a heuristic run: the fair clique found (empty when the greedy
 /// pass ends on an unfair clique), plus the color-count upper bound computed
 /// by HeurRFC (Algorithm 6 lines 9-10; 0 when not computed).
@@ -28,34 +16,24 @@ struct HeuristicResult {
   int64_t color_upper_bound = 0;
 };
 
-/// DegHeur (Algorithm 5): greedily grows a clique by repeatedly adding the
-/// highest-degree candidate of the alternating attribute, with the paper's
+/// DegHeur (Algorithm 5): greedily grows one clique from the highest-degree
+/// vertex (ties to the lower id) by repeatedly adding the highest-degree
+/// candidate of the alternating attribute, with the paper's
 /// amax cap (lines 9-13) bounding the majority side at (minority + delta).
 /// Returns an empty clique when the greedy pass fails fairness. O(V + E).
-CliqueResult DegHeur(const AttributedGraph& g, const HeuristicOptions& options);
+CliqueResult DegHeur(const AttributedGraph& g, const FairnessParams& params);
 
 /// ColorfulDegHeur: DegHeur with selection key min(D_a(v), D_b(v)) — the
 /// colorful degree (Definition 2) under a greedy coloring — instead of
 /// degree. O(V + E).
 CliqueResult ColorfulDegHeur(const AttributedGraph& g,
-                             const HeuristicOptions& options);
+                             const FairnessParams& params);
 
 /// HeurRFC (Algorithm 6): runs DegHeur, shrinks the graph to the
 /// (|R*|-1)-core, runs ColorfulDegHeur on the remainder, keeps the larger
 /// fair clique, shrinks again, and reports the surviving graph's color count
 /// as an upper bound on the maximum fair clique size. O(V + E).
-HeuristicResult HeurRFC(const AttributedGraph& g,
-                        const HeuristicOptions& options);
-
-/// Fairness-preserving local search: starting from a fair clique, repeats
-///   (1) ADD — append any common neighbor that keeps fairness;
-///   (2) SWAP — replace one member by two adjacent non-members when the
-///       result is a strictly larger fair clique;
-/// until neither applies. Returns a fair clique no smaller than the input
-/// (the input itself if it is empty or not a fair clique). Each round costs
-/// O(|C| * V * deg); rounds are bounded by the clique number.
-CliqueResult LocalSearchImprove(const AttributedGraph& g, CliqueResult seed,
-                                const FairnessParams& params);
+HeuristicResult HeurRFC(const AttributedGraph& g, const FairnessParams& params);
 
 }  // namespace fairclique
 

@@ -521,8 +521,7 @@ IncumbentSeed SeedIncumbent(const AttributedGraph& g,
   const AttributedGraph& rg = prepared.reduced;
   if (options.use_heuristic && rg.num_vertices() > 0) {
     WallTimer heur_timer;
-    HeuristicOptions hopts{.params = options.params};
-    HeuristicResult heur = HeurRFC(rg, hopts);
+    HeuristicResult heur = HeurRFC(rg, options.params);
     seed.heuristic_micros = heur_timer.ElapsedMicros();
     seed.heuristic_size = static_cast<int64_t>(heur.clique.size());
     if (!heur.clique.empty()) {

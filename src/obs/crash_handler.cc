@@ -394,15 +394,5 @@ void ForgetGraphEpoch(const std::string& name) {
   // kCrashContextGraphs anyway.
 }
 
-void ResetCrashContextForTesting() {
-  for (GraphSlot& slot : g_graphs) {
-    slot.state.store(0, std::memory_order_relaxed);
-    for (auto& ch : slot.name) ch.store('\0', std::memory_order_relaxed);
-    slot.version.store(0, std::memory_order_relaxed);
-    slot.fingerprint.store(0, std::memory_order_relaxed);
-    slot.wal_records.store(0, std::memory_order_relaxed);
-  }
-}
-
 }  // namespace obs
 }  // namespace fairclique

@@ -65,9 +65,6 @@ void NoteGraphWalRecords(const std::string& name, uint64_t records);
 /// Removes a graph from the table (eviction).
 void ForgetGraphEpoch(const std::string& name);
 
-/// Clears the whole table (tests).
-void ResetCrashContextForTesting();
-
 }  // namespace obs
 }  // namespace fairclique
 

@@ -59,8 +59,9 @@ struct Trace {
   /// "deadline" (static strings; "deadline" when the request deadline is
   /// what tightened the effective time limit).
   const char* stop_reason = "";
-  /// Pre-serialized EXPLAIN plan (service/explain.h) when the request asked
-  /// for one; empty otherwise. Stored serialized so the trace layer stays
+  /// Pre-serialized EXPLAIN plan (QueryResponse::plan_json, written by
+  /// QueryExecutor::BuildExplain) when the request asked for one; empty
+  /// otherwise. Stored serialized so the trace layer stays
   /// independent of the plan schema.
   std::string explain_json;
   std::vector<TraceSpan> spans;

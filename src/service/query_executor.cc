@@ -1,6 +1,7 @@
 #include "service/query_executor.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -10,7 +11,7 @@
 #include "obs/event_journal.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
-#include "service/explain.h"
+#include "service/wire.h"
 
 namespace fairclique {
 
@@ -155,6 +156,13 @@ bool QueryExecutor::PreSearch(QueryState& qs) {
 
   if (request.graph == nullptr || request.graph->graph == nullptr) {
     qs.response.status = Status::InvalidArgument("request has no graph");
+    return true;
+  }
+  if (!std::isfinite(request.deadline_seconds) ||
+      request.deadline_seconds < 0.0 ||
+      !std::isfinite(request.options.time_limit_seconds)) {
+    qs.response.status = Status::InvalidArgument(
+        "deadline and time limit must be finite; a deadline must be >= 0");
     return true;
   }
 
@@ -325,58 +333,109 @@ void QueryExecutor::FinishSearch(QueryState& qs, SearchResult&& sr) {
   }
   qs.response.result = std::move(result);
   qs.response.run_micros = qs.run_timer.ElapsedMicros();
-  BuildExplain(qs, qs.response.result.get());
 }
 
-void QueryExecutor::BuildExplain(QueryState& qs, const SearchResult* sr) {
-  if (!qs.request.explain) return;
-  ExplainPlan plan;
-  plan.result_cache_probed = qs.use_cache;
-  plan.result_cache_hit = qs.response.cache_hit;
-  if (sr != nullptr && qs.prepared != nullptr) {
-    const PreparedGraph& prepared = *qs.prepared;
-    plan.prepared_hit = qs.response.prepared_hit;
-    plan.prepare_micros = qs.prepare_micros;
-    plan.source_vertices = prepared.source_vertices;
-    plan.source_edges = prepared.source_edges;
-    plan.stages = prepared.stages;
-    plan.reduced_vertices = prepared.reduced.num_vertices();
-    plan.reduced_edges = prepared.reduced.num_edges();
-    plan.heuristic_micros = sr->stats.heuristic_micros;
-    plan.heuristic_size = sr->stats.heuristic_size;
-    plan.warm_start = qs.response.warm_start;
-    const BranchStage& stage = *qs.stage;
-    plan.seed_size = static_cast<int64_t>(stage.seed().clique.size());
-    plan.simd_kernel = simd::ActiveName();
-    plan.bitset_budget_bytes = BitsetArenaBudgetBytes();
-    plan.components.reserve(prepared.components.size());
-    size_t slot = 0;
-    for (size_t i = 0; i < prepared.components.size(); ++i) {
-      ExplainComponent row;
-      row.index = i;
-      const AttributedGraph& cg = prepared.components[i]->graph;
-      row.vertices = cg.num_vertices();
-      row.edges = cg.num_edges();
-      // The stage's components ascend, so one cursor pairs tasks with
-      // components.
-      if (slot < stage.num_tasks() && stage.components()[slot] == i) {
-        const ComponentBranchResult& task = stage.results()[slot];
-        row.searched = true;
-        EngineDecision decision =
-            ResolveEngineDecision(qs.effective.engine, cg.num_vertices());
-        row.engine = SearchEngineName(decision.engine);
-        row.arena_bytes = decision.arena_bytes;
-        row.stats = task.stats;
-        row.aborted = task.aborted;
-        row.best_size = static_cast<int64_t>(task.best.size());
-        ++slot;
-      }
-      plan.components.push_back(std::move(row));
-    }
-    plan.totals = sr->stats;
-    plan.stop_reason = qs.response.stop_reason;
+void QueryExecutor::BuildExplain(QueryState& qs) {
+  // A query answered before the Branch stage (result-cache hit, incremental
+  // re-query, expired or invalid request) has no plan, seed or components:
+  // its plan records the cache decision and leaves every other value zero.
+  static const PreparedGraph kNotPrepared;
+  const SearchStats not_searched;
+  const BranchStage* stage = qs.stage.has_value() ? &*qs.stage : nullptr;
+  const PreparedGraph& prepared =
+      stage != nullptr ? *qs.prepared : kNotPrepared;
+  const SearchStats& totals =
+      stage != nullptr ? qs.response.result->stats : not_searched;
+  auto write_stats = [](wire::JsonWriter& w, const SearchStats& s) {
+    w.Field("nodes", s.nodes)
+        .Field("bound_prunes", s.bound_prunes)
+        .Field("size_prunes", s.size_prunes)
+        .Field("attr_prunes", s.attr_prunes)
+        .Field("cap_removals", s.cap_removals);
+  };
+
+  wire::JsonWriter w;
+  w.BeginObject();
+
+  w.Key("prepare").BeginObject();
+  w.Field("prepared_hit", qs.response.prepared_hit)
+      .Field("prepare_micros", qs.prepare_micros)
+      .Field("source_vertices", prepared.source_vertices)
+      .Field("source_edges", prepared.source_edges);
+  w.Key("stages").BeginArray();
+  for (const ReductionStageStats& s : prepared.stages) {
+    w.BeginObject()
+        .Field("name", s.name)
+        .Field("vertices_left", s.vertices_left)
+        .Field("edges_left", s.edges_left)
+        .Field("micros", s.micros)
+        .EndObject();
   }
-  qs.response.plan_json = ExplainPlanJson(plan);
+  w.EndArray();
+  w.Field("reduced_vertices", prepared.reduced.num_vertices())
+      .Field("reduced_edges", prepared.reduced.num_edges());
+  w.EndObject();
+
+  w.Key("result_cache").BeginObject();
+  w.Field("probed", qs.use_cache)
+      .Field("hit", qs.response.cache_hit)
+      .EndObject();
+
+  w.Key("seed").BeginObject();
+  w.Field("heuristic_micros", totals.heuristic_micros)
+      .Field("heuristic_size", totals.heuristic_size)
+      .Field("warm_start", qs.response.warm_start)
+      .Field("seed_size", stage != nullptr ? stage->seed().clique.size() : 0)
+      .EndObject();
+
+  // The SIMD variant the bitset word ops ran with and the memory budget
+  // the engine rule allowed the bitset engine's adjacency arena.
+  w.Key("kernel").BeginObject();
+  w.Field("simd", stage != nullptr ? simd::ActiveName() : "")
+      .Field("bitset_budget_bytes",
+             stage != nullptr ? BitsetArenaBudgetBytes() : 0)
+      .EndObject();
+
+  // Components in prepared order (largest first); kNotPrepared has none, so
+  // this loop runs only with a stage. The stage's task components ascend,
+  // so one cursor pairs tasks with components; the rest were skipped as
+  // too small to beat the seed.
+  w.Key("components").BeginArray();
+  size_t task = 0;
+  for (size_t i = 0; i < prepared.components.size(); ++i) {
+    const AttributedGraph& cg = prepared.components[i]->graph;
+    const bool searched =
+        task < stage->num_tasks() && stage->components()[task] == i;
+    w.BeginObject()
+        .Field("index", i)
+        .Field("vertices", cg.num_vertices())
+        .Field("edges", cg.num_edges())
+        .Field("searched", searched);
+    if (searched) {
+      const ComponentBranchResult& r = stage->results()[task++];
+      const EngineDecision decision =
+          ResolveEngineDecision(qs.effective.engine, cg.num_vertices());
+      w.Field("engine", SearchEngineName(decision.engine))
+          .Field("arena_bytes", decision.arena_bytes);
+      write_stats(w, r.stats);
+      w.Field("search_micros", r.stats.search_micros)
+          .Field("aborted", r.aborted)
+          .Field("best_size", r.best.size());
+    }
+    w.EndObject();
+  }
+  w.EndArray();
+
+  w.Key("totals").BeginObject();
+  write_stats(w, totals);
+  w.Field("component_search_micros", totals.component_search_micros)
+      .Field("search_micros", totals.search_micros)
+      .Field("completed", totals.completed)
+      .Field("stop_reason", stage != nullptr ? qs.response.stop_reason : "")
+      .EndObject();
+
+  w.EndObject();
+  qs.response.plan_json = w.str();
 }
 
 void QueryExecutor::RecordTelemetry(QueryState& qs) {
@@ -474,8 +533,9 @@ size_t QueryExecutor::StartBranch(QueryState& qs) {
         qs.response.trace_id, qs.request.graph->name,
         CanonicalOptionsKey(qs.request.options), n);
     if (qs.effective.time_limit_seconds > 0.0) {
-      qs.progress->SetDeadlineMicros(
-          static_cast<int64_t>(qs.effective.time_limit_seconds * 1e6));
+      // Capped below 2^63 so a huge (finite) limit cannot overflow the cast.
+      qs.progress->SetDeadlineMicros(static_cast<int64_t>(
+          std::min(qs.effective.time_limit_seconds * 1e6, 9e18)));
     }
     qs.stage->AttachProgress(qs.progress.get());
   }
@@ -547,10 +607,7 @@ void QueryExecutor::FinalizeQuery(QueryState& qs) {
 }
 
 void QueryExecutor::FinishQuery(QueryState& qs) {
-  if (qs.request.explain && qs.response.plan_json.empty()) {
-    BuildExplain(qs, nullptr);  // cache hit / expired / invalid: plan is
-                                // just the cache decision
-  }
+  if (qs.request.explain) BuildExplain(qs);
   served_.fetch_add(1, std::memory_order_relaxed);
   if (qs.from_queue) {
     qs.response.queue_micros =

@@ -61,11 +61,11 @@ struct QueryRequest {
   /// and does not publish the plan. bypass_cache + bypass_prepared_cache
   /// is a fully cold query.
   bool bypass_prepared_cache = false;
-  /// Attach an EXPLAIN plan (service/explain.h) to the response: reduction
-  /// stage stats, component selection and resolved engines, the full
-  /// per-component prune breakdown, and the cache decisions — the execution
-  /// record the executor otherwise discards. Observational only (the search
-  /// is unchanged); costs one struct copy per component at finish.
+  /// Attach an EXPLAIN plan to the response: reduction stage stats,
+  /// component selection and resolved engines, the full per-component prune
+  /// breakdown, and the cache decisions — the execution record the executor
+  /// otherwise discards. Observational only (the search is unchanged); the
+  /// executor writes it at finish from the plan, stage and result it holds.
   bool explain = false;
 };
 
@@ -239,11 +239,11 @@ class QueryExecutor : public ParallelHelpers {
   /// Shared post-Branch glue: deadline-miss bookkeeping, hint put-back,
   /// result-cache fill, response fields. Does not touch the promise.
   void FinishSearch(QueryState& qs, SearchResult&& result);
-  /// Assembles and serializes the EXPLAIN plan onto the response when the
-  /// request asked for one. `sr` is null on paths that never searched
-  /// (cache hit, expired in queue, invalid request) — the plan then records
-  /// only the cache decision.
-  void BuildExplain(QueryState& qs, const SearchResult* sr);
+  /// Writes the EXPLAIN plan JSON onto the response straight from the
+  /// query's prepared plan, Branch stage and result. A query that never
+  /// reached the Branch stage (cache hit, incremental re-query, expired or
+  /// invalid request) gets a plan that records only the cache decision.
+  void BuildExplain(QueryState& qs);
   /// Bumps the stopped_* counter matching an early-stopped search's reason.
   void CountStop(const QueryState& qs, const SearchStats& stats);
   /// Builds the query's BranchStage (seed + component selection), registers
@@ -260,8 +260,8 @@ class QueryExecutor : public ParallelHelpers {
   /// FinishBranch + CompleteQuery, run by whoever finished the last task.
   void FinalizeQuery(QueryState& qs);
   /// The finish steps of every answered query, on the pool and Run paths
-  /// alike: a cache-decision-only EXPLAIN plan when none was built, the
-  /// served count, the queue wait (pool path only; Run never queues), the
+  /// alike: the EXPLAIN plan when the request asked for one, the served
+  /// count, the queue wait (pool path only; Run never queues), the
   /// trace, and a kQueryFinish journal event naming the graph — except for
   /// result-cache hits, which are not journaled.
   void FinishQuery(QueryState& qs);

@@ -47,6 +47,32 @@ bool ParseJsonString(const std::string& s, size_t* i, std::string* out) {
   return true;
 }
 
+// True when [p, end) is exactly one RFC 8259 number:
+// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+bool IsJsonNumber(const char* p, const char* end) {
+  auto digits = [&p, end] {
+    const char* start = p;
+    while (p < end && std::isdigit(static_cast<unsigned char>(*p))) ++p;
+    return p > start;
+  };
+  if (p < end && *p == '-') ++p;
+  if (p < end && *p == '0') {
+    ++p;
+  } else if (!digits()) {
+    return false;
+  }
+  if (p < end && *p == '.') {
+    ++p;
+    if (!digits()) return false;
+  }
+  if (p < end && (*p == 'e' || *p == 'E')) {
+    ++p;
+    if (p < end && (*p == '+' || *p == '-')) ++p;
+    if (!digits()) return false;
+  }
+  return p == end;
+}
+
 }  // namespace
 
 bool ParseJsonObject(const std::string& line, JsonObject* out,
@@ -94,14 +120,19 @@ bool ParseJsonObject(const std::string& line, JsonObject* out,
       value.b = false;
       i += 5;
     } else {
+      // The token runs to the next delimiter and must be one JSON number
+      // with a finite value: strtod alone also takes "inf", "nan" and
+      // "0x10", and reads "1e999" as infinity.
       value.type = JsonValue::Type::kNumber;
-      char* end = nullptr;
-      value.num = std::strtod(line.c_str() + i, &end);
-      if (end == line.c_str() + i) {
+      const char* begin = line.c_str() + i;
+      const size_t len = std::strcspn(begin, ",} \t\n\v\f\r");
+      const bool valid = IsJsonNumber(begin, begin + len);
+      if (valid) value.num = std::strtod(begin, nullptr);
+      if (!valid || !std::isfinite(value.num)) {
         *error = "bad value for '" + key + "'";
         return false;
       }
-      i = static_cast<size_t>(end - line.c_str());
+      i += len;
     }
     (*out)[key] = std::move(value);
     if (!SkipSpace(line, &i)) break;

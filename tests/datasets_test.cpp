@@ -65,7 +65,7 @@ TEST_P(DatasetLoadTest, ContainsFairCliqueAtDefaultParameters) {
   AttributedGraph g = LoadDataset(name);
   // The planted balanced cliques guarantee a fair clique across the sweep
   // range; the linear-time heuristic should find one at the defaults.
-  HeuristicResult heur = HeurRFC(g, {{spec.default_k, spec.default_delta}, 4});
+  HeuristicResult heur = HeurRFC(g, {spec.default_k, spec.default_delta});
   EXPECT_GE(heur.clique.size(), 2u * static_cast<size_t>(spec.default_k))
       << name;
 }

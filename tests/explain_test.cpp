@@ -1,5 +1,3 @@
-#include "service/explain.h"
-
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -9,6 +7,7 @@
 #include "core/max_fair_clique.h"
 #include "core/prepared_graph.h"
 #include "service/graph_registry.h"
+#include "service/prepared_graph_cache.h"
 #include "service/query_executor.h"
 #include "service/result_cache.h"
 #include "test_util.h"
@@ -57,61 +56,66 @@ std::shared_ptr<const RegisteredGraph> RegisterGraph(GraphRegistry& registry,
   return registry.Get(name);
 }
 
-TEST(ExplainJsonTest, SerializesEveryPlanSection) {
-  ExplainPlan plan;
-  plan.prepared_hit = true;
-  plan.source_vertices = 10;
-  plan.source_edges = 21;
-  plan.stages.push_back({"EnColorfulCore", 8, 15, 120});
-  plan.reduced_vertices = 8;
-  plan.reduced_edges = 15;
-  plan.result_cache_probed = true;
-  plan.seed_size = 4;
-  ExplainComponent comp;
-  comp.index = 0;
-  comp.vertices = 8;
-  comp.edges = 15;
-  comp.searched = true;
-  comp.engine = "bitset";
-  comp.stats.nodes = 99;
-  comp.stats.search_micros = 7;
-  comp.best_size = 6;
-  plan.components.push_back(comp);
-  plan.totals.nodes = 99;
-  plan.totals.component_search_micros = 7;
-  plan.stop_reason = "node_limit";
-  plan.totals.completed = false;
+TEST(ExplainTest, PreparedHitPlanCarriesEverySection) {
+  GraphRegistry registry;
+  auto graph = RegisterGraph(registry, "two", TwoComponentGraph());
+  ResultCache cache(16);
+  PreparedGraphCache prepared_cache(4);
+  QueryExecutor executor(ExecutorOptions{1, 4}, &cache, &prepared_cache);
 
-  std::string json = ExplainPlanJson(plan);
-  EXPECT_NE(json.find("\"prepare\":{\"prepared_hit\":true"), std::string::npos)
+  QueryRequest request;
+  request.graph = graph;
+  request.options = BaselineOptions(1, 2);
+  request.options.engine = SearchEngine::kBitset;
+  ASSERT_TRUE(executor.Submit(request).get().status.ok());  // builds the plan
+
+  // Another delta misses the result cache but reuses the prepared plan.
+  request.options.params.delta = 1;
+  request.options.node_limit = 1;
+  request.explain = true;
+  QueryResponse response = executor.Submit(request).get();
+  ASSERT_TRUE(response.status.ok());
+  ASSERT_TRUE(response.prepared_hit);
+  const std::string& json = response.plan_json;
+  EXPECT_NE(json.find("\"prepare\":{\"prepared_hit\":true,\"prepare_micros\":0,"
+                      "\"source_vertices\":10,\"source_edges\":21,"),
+            std::string::npos)
       << json;
   EXPECT_NE(json.find("\"stages\":[{\"name\":\"EnColorfulCore\","
-                      "\"vertices_left\":8,\"edges_left\":15,\"micros\":120}]"),
+                      "\"vertices_left\":10,\"edges_left\":21,\"micros\":"),
             std::string::npos)
       << json;
   EXPECT_NE(json.find("\"result_cache\":{\"probed\":true,\"hit\":false}"),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"seed_size\":4"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"seed_size\":0}"), std::string::npos) << json;
   EXPECT_NE(json.find("\"engine\":\"bitset\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"completed\":false,\"stop_reason\":\"node_limit\"}"),
             std::string::npos)
       << json;
 }
 
-TEST(ExplainJsonTest, UnsearchedComponentsCarryNoStats) {
-  ExplainPlan plan;
-  ExplainComponent skipped;
-  skipped.index = 1;
-  skipped.vertices = 3;
-  skipped.edges = 3;
-  skipped.searched = false;
-  plan.components.push_back(skipped);
-  std::string json = ExplainPlanJson(plan);
-  EXPECT_NE(json.find("\"components\":[{\"index\":1,\"vertices\":3,"
-                      "\"edges\":3,\"searched\":false}]"),
+TEST(ExplainTest, UnsearchedComponentsCarryNoStats) {
+  // HeurRFC seeds the 6-clique, so the 4-vertex component cannot beat the
+  // seed and is never searched.
+  GraphRegistry registry;
+  auto graph = RegisterGraph(registry, "two", TwoComponentGraph());
+  QueryExecutor executor(ExecutorOptions{1, 4}, nullptr);
+
+  QueryRequest request;
+  request.graph = graph;
+  request.options = FullOptions(1, 2, ExtraBound::kColorfulPath);
+  request.explain = true;
+  QueryResponse response = executor.Submit(request).get();
+  ASSERT_TRUE(response.status.ok());
+  ASSERT_EQ(response.result->clique.size(), 6u);
+  const std::string& json = response.plan_json;
+  EXPECT_NE(json.find("\"seed_size\":6}"), std::string::npos) << json;
+  EXPECT_NE(json.find("{\"index\":1,\"vertices\":4,\"edges\":6,"
+                      "\"searched\":false}"),
             std::string::npos)
       << json;
+  // Neither component can beat the seed, so no row names an engine.
   EXPECT_EQ(json.find("\"engine\""), std::string::npos) << json;
 }
 

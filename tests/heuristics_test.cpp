@@ -14,7 +14,7 @@ using testing_util::RandomAttributedGraph;
 
 TEST(DegHeurTest, EmptyGraphReturnsEmpty) {
   AttributedGraph g = MakeGraph("", {});
-  EXPECT_TRUE(DegHeur(g, {{1, 0}, 1}).empty());
+  EXPECT_TRUE(DegHeur(g, {1, 0}).empty());
 }
 
 TEST(DegHeurTest, FindsTheObviousFairClique) {
@@ -26,7 +26,7 @@ TEST(DegHeurTest, FindsTheObviousFairClique) {
   for (VertexId v = 0; v < 3; ++v) b.SetAttribute(v, Attribute::kA);
   for (VertexId v = 3; v < 6; ++v) b.SetAttribute(v, Attribute::kB);
   AttributedGraph g = b.Build();
-  CliqueResult r = DegHeur(g, {{2, 1}, 1});
+  CliqueResult r = DegHeur(g, {2, 1});
   EXPECT_EQ(r.size(), 6u);
   EXPECT_TRUE(IsFairClique(g, r.vertices, {2, 1}));
 }
@@ -36,10 +36,10 @@ TEST(DegHeurTest, OutputIsAlwaysAFairCliqueOrEmpty) {
     AttributedGraph g = RandomAttributedGraph(60, 0.25, seed);
     for (int k = 1; k <= 3; ++k) {
       for (int delta = 0; delta <= 2; ++delta) {
-        HeuristicOptions opts{{k, delta}, 1};
-        CliqueResult r = DegHeur(g, opts);
+        FairnessParams params{k, delta};
+        CliqueResult r = DegHeur(g, params);
         if (!r.empty()) {
-          EXPECT_TRUE(IsFairClique(g, r.vertices, opts.params))
+          EXPECT_TRUE(IsFairClique(g, r.vertices, params))
               << "seed=" << seed << " k=" << k << " d=" << delta;
         }
       }
@@ -50,10 +50,10 @@ TEST(DegHeurTest, OutputIsAlwaysAFairCliqueOrEmpty) {
 TEST(ColorfulDegHeurTest, OutputIsAlwaysAFairCliqueOrEmpty) {
   for (uint64_t seed = 20; seed <= 30; ++seed) {
     AttributedGraph g = RandomAttributedGraph(60, 0.25, seed);
-    HeuristicOptions opts{{2, 1}, 1};
-    CliqueResult r = ColorfulDegHeur(g, opts);
+    FairnessParams params{2, 1};
+    CliqueResult r = ColorfulDegHeur(g, params);
     if (!r.empty()) {
-      EXPECT_TRUE(IsFairClique(g, r.vertices, opts.params)) << "seed " << seed;
+      EXPECT_TRUE(IsFairClique(g, r.vertices, params)) << "seed " << seed;
     }
   }
 }
@@ -63,7 +63,7 @@ TEST(HeurRFCTest, NeverExceedsExactOptimum) {
     AttributedGraph g = RandomAttributedGraph(40, 0.35, seed);
     FairnessParams params{2, 1};
     CliqueResult exact = MaxFairCliqueByEnumeration(g, params);
-    HeuristicResult heur = HeurRFC(g, {params, 1});
+    HeuristicResult heur = HeurRFC(g, params);
     EXPECT_LE(heur.clique.size(), exact.size()) << "seed " << seed;
     if (!heur.clique.empty()) {
       EXPECT_TRUE(IsFairClique(g, heur.clique.vertices, params));
@@ -76,9 +76,9 @@ TEST(HeurRFCTest, NeverExceedsExactOptimum) {
 TEST(HeurRFCTest, TakesTheBetterOfBothPasses) {
   for (uint64_t seed = 60; seed <= 66; ++seed) {
     AttributedGraph g = RandomAttributedGraph(80, 0.2, seed);
-    HeuristicOptions opts{{2, 2}, 1};
-    CliqueResult deg = DegHeur(g, opts);
-    HeuristicResult combined = HeurRFC(g, opts);
+    FairnessParams params{2, 2};
+    CliqueResult deg = DegHeur(g, params);
+    HeuristicResult combined = HeurRFC(g, params);
     EXPECT_GE(combined.clique.size(), deg.size()) << "seed " << seed;
   }
 }
@@ -89,23 +89,10 @@ TEST(HeurRFCTest, FindsPlantedCliqueApproximately) {
   base = AssignAttributesBernoulli(base, 0.5, rng);
   std::vector<VertexId> members;
   AttributedGraph g = PlantClique(base, 14, /*balanced=*/true, rng, &members);
-  HeuristicResult heur = HeurRFC(g, {{5, 2}, 1});
+  HeuristicResult heur = HeurRFC(g, {5, 2});
   // The planted clique dominates degree-wise; the heuristic should land on
   // (most of) it. The paper's Fig. 8 reports gaps <= 6.
   EXPECT_GE(heur.clique.size(), 8u);
-}
-
-TEST(HeuristicOptionsTest, MultiStartOnlyImproves) {
-  for (uint64_t seed = 70; seed <= 76; ++seed) {
-    AttributedGraph g = RandomAttributedGraph(70, 0.25, seed);
-    FairnessParams params{2, 1};
-    CliqueResult one = DegHeur(g, {params, 1});
-    CliqueResult many = DegHeur(g, {params, 8});
-    EXPECT_GE(many.size(), one.size()) << "seed " << seed;
-    if (!many.empty()) {
-      EXPECT_TRUE(IsFairClique(g, many.vertices, params));
-    }
-  }
 }
 
 TEST(HeurRFCTest, SingleAttributeGraphYieldsEmpty) {
@@ -114,7 +101,7 @@ TEST(HeurRFCTest, SingleAttributeGraphYieldsEmpty) {
     for (VertexId v = u + 1; v < 8; ++v) b.AddEdge(u, v);
   }
   AttributedGraph g = b.Build();  // all 'a'
-  HeuristicResult heur = HeurRFC(g, {{1, 1}, 1});
+  HeuristicResult heur = HeurRFC(g, {1, 1});
   EXPECT_TRUE(heur.clique.empty());
 }
 

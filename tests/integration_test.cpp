@@ -95,7 +95,7 @@ TEST(IntegrationTest, HeuristicsBracketTheExactAnswerEverywhere) {
     DatasetSpec spec = DatasetByName(name);
     AttributedGraph g = LoadDataset(name, 0.5);
     FairnessParams params{spec.default_k, spec.default_delta};
-    HeuristicResult heur = HeurRFC(g, {params, 1});
+    HeuristicResult heur = HeurRFC(g, params);
     SearchResult exact = FindMaximumFairClique(
         g, FullOptions(params.k, params.delta, ExtraBound::kColorfulPath));
     ASSERT_TRUE(exact.stats.completed) << name;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "core/enumeration.h"
@@ -92,6 +93,13 @@ struct AgreementCase {
   int k;
   int delta;
 };
+
+// Prints the fields, so the test names gtest derives from the parameter
+// never embed the struct's padding bytes.
+void PrintTo(const AgreementCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << ",n=" << c.n << ",density=" << c.density
+      << ",k=" << c.k << ",delta=" << c.delta;
+}
 
 class OracleAgreementTest : public ::testing::TestWithParam<AgreementCase> {};
 

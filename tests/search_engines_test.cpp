@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/bitset.h"
 #include "core/enumeration.h"
 #include "core/max_fair_clique.h"
@@ -35,6 +37,13 @@ struct EngineCase {
   int k;
   int delta;
 };
+
+// Prints the fields, so the test names gtest derives from the parameter
+// never embed the struct's padding bytes.
+void PrintTo(const EngineCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << ",n=" << c.n << ",density=" << c.density
+      << ",k=" << c.k << ",delta=" << c.delta;
+}
 
 class EngineAgreementTest : public ::testing::TestWithParam<EngineCase> {};
 
@@ -232,6 +241,22 @@ TEST(BranchKernelGoldenTest, CountersMatchPreRefactorKernels) {
       EXPECT_EQ(r.stats.bound_prunes, want.bound_prunes);
       EXPECT_EQ(r.clique.size(), want.answer);
       EXPECT_EQ(r.stats.completed, want.completed);
+    }
+  }
+}
+
+// The CalColorOD branch order is exact under both candidate-set engines.
+TEST(CalColorODTest, BothEnginesAgreeWithOracle) {
+  for (uint64_t seed : {31u, 32u, 33u, 34u}) {
+    AttributedGraph g = RandomAttributedGraph(30, 0.35, seed);
+    FairnessParams params{2, 1};
+    CliqueResult oracle = MaxFairCliqueByEnumeration(g, params);
+    for (SearchEngine engine : {SearchEngine::kVector, SearchEngine::kBitset}) {
+      SearchOptions opts = BoundedOptions(2, 1, ExtraBound::kColorfulPath);
+      opts.engine = engine;
+      SearchResult r = FindMaximumFairClique(g, opts);
+      EXPECT_EQ(r.clique.size(), oracle.size())
+          << "seed=" << seed << " engine=" << static_cast<int>(engine);
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -296,6 +297,35 @@ TEST(QueryExecutorTest, InvalidRequestReported) {
   QueryExecutor executor(ExecutorOptions{1, 4}, nullptr);
   QueryResponse response = executor.Submit(QueryRequest{}).get();
   EXPECT_TRUE(response.status.IsInvalidArgument());
+}
+
+TEST(QueryExecutorTest, RejectsNonFiniteOrNegativeBudgetsBeforeTheCache) {
+  GraphRegistry registry;
+  auto graph = RegisterGraph(registry, "g", MakeGraph("ab", {{0, 1}}));
+  ResultCache cache(16);
+  QueryExecutor executor(ExecutorOptions{1, 8}, &cache);
+
+  QueryRequest request;
+  request.graph = graph;
+  request.options = BaselineOptions(1, 1);
+  ASSERT_TRUE(executor.Submit(request).get().status.ok());  // now cached
+
+  auto submit = [&](double deadline, double time_limit) {
+    QueryRequest bad = request;
+    bad.deadline_seconds = deadline;
+    bad.options.time_limit_seconds = time_limit;
+    return executor.Submit(bad).get();
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const QueryResponse& response :
+       {submit(inf, 0.0), submit(nan, 0.0), submit(-1.0, 0.0),
+        submit(0.0, inf), submit(0.0, nan)}) {
+    EXPECT_TRUE(response.status.IsInvalidArgument());
+    EXPECT_EQ(response.result, nullptr);
+    EXPECT_FALSE(response.cache_hit);
+  }
+  EXPECT_EQ(executor.metrics().cache_hits, 0u);
 }
 
 TEST(QueryExecutorTest, DeadlineMapsOntoSafetyValveAndSkipsCache) {

@@ -46,7 +46,7 @@ TEST(StressTest, EverythingAgreesOnManyRandomInstances) {
     }
 
     // The heuristic bounds the optimum from below.
-    HeuristicResult heur = HeurRFC(g, {params, 1});
+    HeuristicResult heur = HeurRFC(g, params);
     EXPECT_LE(heur.clique.size(), oracle.size());
 
     // The plain maximum clique bounds from above.
@@ -86,7 +86,7 @@ TEST(StressTest, AllOneAttributeGraphsNeverYieldFairCliques) {
     AttributedGraph g = ErdosRenyi(25, 0.5, rng);  // All kA by default.
     SearchResult r = FindMaximumFairClique(g, BaselineOptions(1, 5));
     EXPECT_TRUE(r.clique.empty());
-    HeuristicResult heur = HeurRFC(g, {{1, 5}, 2});
+    HeuristicResult heur = HeurRFC(g, {1, 5});
     EXPECT_TRUE(heur.clique.empty());
   }
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "bounds/upper_bounds.h"
@@ -21,6 +22,13 @@ struct BoundCase {
   double density;
   int delta;
 };
+
+// Prints the fields, so the test names gtest derives from the parameter
+// never embed the struct's padding bytes.
+void PrintTo(const BoundCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << ",density=" << c.density
+      << ",delta=" << c.delta;
+}
 
 class BoundSoundnessTest : public ::testing::TestWithParam<BoundCase> {};
 

@@ -140,12 +140,13 @@ void BM_SearchBitsetEngine(benchmark::State& state) {
 BENCHMARK(BM_SearchBitsetEngine)->Arg(1000)->Arg(3000);
 
 // ---------------------------------------------------------------------
-// Bitset kernel section: the word-parallel primitives the branch engine is
-// made of, timed per variant. `/scalar` pins the reference kernels;
-// `/dispatched` runs whatever the CPU dispatched (avx2/neon, or scalar
-// again on machines without vector ISA — compare the two to read the
-// speedup). Arg is the word count per operand: 64 words = 4096 bits, one
-// adjacency row of the largest component the old fixed threshold allowed.
+// Bitset kernel section: the fused dual-count intersection the branch
+// engine runs per node, timed per variant. `/scalar` pins the reference
+// kernel; `/dispatched` runs whatever the CPU dispatched (avx2/neon, or
+// scalar again on machines without vector ISA — compare the two to read
+// the speedup). Arg is the word count per operand: 64 words = 4096 bits,
+// one adjacency row of the largest component the old fixed threshold
+// allowed.
 
 std::vector<uint64_t> KernelWords(size_t n, uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -154,10 +155,7 @@ std::vector<uint64_t> KernelWords(size_t n, uint64_t seed) {
   return w;
 }
 
-void RunKernelBench(benchmark::State& state, bool scalar,
-                    void (*op)(const simd::Kernels&, uint64_t*,
-                               const uint64_t*, const uint64_t*,
-                               const uint64_t*, size_t)) {
+void RunKernelBench(benchmark::State& state, bool scalar) {
   const size_t n = static_cast<size_t>(state.range(0));
   std::vector<uint64_t> a = KernelWords(n, 1);
   std::vector<uint64_t> b = KernelWords(n, 2);
@@ -167,7 +165,9 @@ void RunKernelBench(benchmark::State& state, bool scalar,
   const simd::Kernels& k = simd::Active();
   state.SetLabel(k.name);
   for (auto _ : state) {
-    op(k, dst.data(), a.data(), b.data(), mask.data(), n);
+    simd::DualCount c =
+        k.intersect_into_dual(dst.data(), a.data(), b.data(), mask.data(), n);
+    benchmark::DoNotOptimize(c.total);
     benchmark::DoNotOptimize(dst.data());
   }
   simd::SetKernelOverride(nullptr);
@@ -175,54 +175,15 @@ void RunKernelBench(benchmark::State& state, bool scalar,
                           static_cast<int64_t>(n * sizeof(uint64_t)));
 }
 
-void OpIntersectDual(const simd::Kernels& k, uint64_t* dst, const uint64_t* a,
-                     const uint64_t* b, const uint64_t* mask, size_t n) {
-  simd::DualCount c = k.intersect_into_dual(dst, a, b, mask, n);
-  benchmark::DoNotOptimize(c.total);
-}
-
-void OpIntersectCount(const simd::Kernels& k, uint64_t* dst, const uint64_t* a,
-                      const uint64_t* b, const uint64_t*, size_t n) {
-  uint64_t c = k.intersect_count(a, b, n);
-  benchmark::DoNotOptimize(c);
-  benchmark::DoNotOptimize(dst);
-}
-
-void OpAndInPlace(const simd::Kernels& k, uint64_t* dst, const uint64_t* a,
-                  const uint64_t* b, const uint64_t*, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] = a[i];
-  k.and_inplace(dst, b, n);
-}
-
 void BM_BitsetKernelDual_Scalar(benchmark::State& state) {
-  RunKernelBench(state, true, OpIntersectDual);
+  RunKernelBench(state, true);
 }
 BENCHMARK(BM_BitsetKernelDual_Scalar)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_BitsetKernelDual_Dispatched(benchmark::State& state) {
-  RunKernelBench(state, false, OpIntersectDual);
+  RunKernelBench(state, false);
 }
 BENCHMARK(BM_BitsetKernelDual_Dispatched)->Arg(8)->Arg(64)->Arg(512);
-
-void BM_BitsetKernelIntersectCount_Scalar(benchmark::State& state) {
-  RunKernelBench(state, true, OpIntersectCount);
-}
-BENCHMARK(BM_BitsetKernelIntersectCount_Scalar)->Arg(64)->Arg(512);
-
-void BM_BitsetKernelIntersectCount_Dispatched(benchmark::State& state) {
-  RunKernelBench(state, false, OpIntersectCount);
-}
-BENCHMARK(BM_BitsetKernelIntersectCount_Dispatched)->Arg(64)->Arg(512);
-
-void BM_BitsetKernelAnd_Scalar(benchmark::State& state) {
-  RunKernelBench(state, true, OpAndInPlace);
-}
-BENCHMARK(BM_BitsetKernelAnd_Scalar)->Arg(64)->Arg(512);
-
-void BM_BitsetKernelAnd_Dispatched(benchmark::State& state) {
-  RunKernelBench(state, false, OpAndInPlace);
-}
-BENCHMARK(BM_BitsetKernelAnd_Dispatched)->Arg(64)->Arg(512);
 
 // Self-timed kernel comparison feeding BENCH_micro.json: CI gates the
 // dual-count intersection at >= 2x over scalar whenever a vector variant

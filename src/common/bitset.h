@@ -41,16 +41,14 @@ struct AlignedAllocator {
   bool operator!=(const AlignedAllocator&) const { return false; }
 };
 
-/// A fixed-size dynamic bitset with word-level operations used by the search
-/// kernels (candidate sets, adjacency rows of dense subproblems). Faster and
-/// leaner than std::vector<bool> for intersection-heavy workloads.
-///
-/// Bulk operations (&=, -=, |=, Count, Any, IntersectCount, the fused
-/// AssignIntersectDual) route through the runtime-dispatched kernels in
-/// common/bitset_simd.h — scalar, AVX2, or NEON depending on build and CPU.
+/// A fixed-size dynamic bitset: the candidate set of the bitset branch
+/// engine. Faster and leaner than std::vector<bool> for its one bulk
+/// operation, the fused AssignIntersectDual, which routes through the
+/// runtime-dispatched kernel in common/bitset_simd.h (scalar, AVX2, or NEON
+/// depending on build and CPU).
 ///
 /// Invariant: bits at positions >= size() in the last word are always zero
-/// ("tail-clean"). Every mutator here preserves it and the counting queries
+/// ("tail-clean"). Every mutator here preserves it and the counting paths
 /// assert it in debug builds, so popcounts can run word-parallel without
 /// masking. Code writing through words() directly must uphold it too.
 class Bitset {
@@ -79,58 +77,17 @@ class Bitset {
     words_[i >> 6] &= ~(1ULL << (i & 63));
   }
 
-  bool Test(size_t i) const {
-    assert(i < size_);
-    return (words_[i >> 6] >> (i & 63)) & 1ULL;
-  }
-
-  /// Clears all bits.
-  void Clear() {
-    for (auto& w : words_) w = 0;
-  }
-
   /// Sets all bits in [0, size).
   void SetAll() {
     for (auto& w : words_) w = ~0ULL;
-    TrimTail();
-  }
-
-  /// Number of set bits.
-  size_t Count() const {
-    assert(TailClean());
-    return static_cast<size_t>(simd::Popcount(words_.data(), words_.size()));
-  }
-
-  bool Any() const {
-    assert(TailClean());
-    return simd::Any(words_.data(), words_.size());
-  }
-
-  /// In-place intersection with `other` (must have the same size).
-  Bitset& operator&=(const Bitset& other) {
-    assert(size_ == other.size_);
-    simd::AndInPlace(words_.data(), other.words_.data(), words_.size());
-    return *this;
-  }
-
-  /// In-place union with `other` (must have the same size). Canonically
-  /// trims the tail so a stale tail in either operand cannot propagate.
-  Bitset& operator|=(const Bitset& other) {
-    assert(size_ == other.size_);
-    simd::OrInPlace(words_.data(), other.words_.data(), words_.size());
-    TrimTail();
-    return *this;
+    if (!words_.empty()) words_.back() &= TailMask();
   }
 
   /// In-place difference: clears every bit that is set in `other`.
   Bitset& operator-=(const Bitset& other) {
     assert(size_ == other.size_);
-    simd::AndNotInPlace(words_.data(), other.words_.data(), words_.size());
+    for (size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
     return *this;
-  }
-
-  bool operator==(const Bitset& other) const {
-    return size_ == other.size_ && words_ == other.words_;
   }
 
   /// Index of the first set bit at or after `from`, or `size()` if none.
@@ -165,28 +122,6 @@ class Bitset {
     }
   }
 
-  /// Clears every bit with index < n (keeps the suffix). Used by ordered
-  /// clique enumeration to restrict candidates to higher-ranked vertices.
-  void ResetBelow(size_t n) {
-    if (n >= size_) {
-      Clear();
-      return;
-    }
-    size_t full_words = n >> 6;
-    for (size_t i = 0; i < full_words; ++i) words_[i] = 0;
-    size_t tail = n & 63;
-    if (tail != 0) words_[full_words] &= ~0ULL << tail;
-  }
-
-  /// Population count of the intersection with `other`, without materializing
-  /// the intersection.
-  size_t IntersectCount(const Bitset& other) const {
-    assert(size_ == other.size_);
-    assert(TailClean() && other.TailClean());
-    return static_cast<size_t>(simd::IntersectCount(
-        words_.data(), other.words_.data(), words_.size()));
-  }
-
   /// Fused branch-kernel op: *this = a & b, returning {|a&b|, |a&b&mask|} in
   /// one pass. Replaces the materialize-then-count-twice sequence in the
   /// bitset search engine. `b` may be a raw arena row of the same width.
@@ -199,7 +134,7 @@ class Bitset {
   }
 
   /// True when no bit beyond size() is set in the last word. Debug-only
-  /// sanity hook; all counting queries assert it.
+  /// sanity hook; the counting paths assert it.
   bool TailClean() const {
     if (words_.empty()) return true;
     return (words_.back() & ~TailMask()) == 0;
@@ -210,11 +145,6 @@ class Bitset {
   uint64_t TailMask() const {
     size_t tail = size_ & 63;
     return tail == 0 ? ~0ULL : (1ULL << tail) - 1;
-  }
-
-  // Clears bits beyond size_ in the last word so Count()/Any() stay exact.
-  void TrimTail() {
-    if (!words_.empty()) words_.back() &= TailMask();
   }
 
   size_t size_;
@@ -233,13 +163,20 @@ class BitsetArena {
   BitsetArena(size_t rows, size_t bits)
       : rows_(rows),
         bits_(bits),
-        words_per_row_(((bits + 63) / 64 + 7) & ~size_t{7}) {
+        words_per_row_(BytesFor(1, bits) / sizeof(uint64_t)) {
     size_t total = rows_ * words_per_row_;
     if (total != 0) {
       data_ = static_cast<uint64_t*>(
           ::operator new(total * sizeof(uint64_t), std::align_val_t(64)));
       for (size_t i = 0; i < total; ++i) data_[i] = 0;
     }
+  }
+
+  /// Bytes an arena of `rows` rows of `bits` bits allocates: each row is
+  /// rounded up to whole 64-byte cache lines (8 words).
+  static uint64_t BytesFor(uint64_t rows, uint64_t bits) {
+    uint64_t words_per_row = ((bits + 63) / 64 + 7) & ~uint64_t{7};
+    return rows * words_per_row * sizeof(uint64_t);
   }
 
   BitsetArena(BitsetArena&& o) noexcept
@@ -266,11 +203,6 @@ class BitsetArena {
   BitsetArena& operator=(const BitsetArena&) = delete;
   ~BitsetArena() { Free(); }
 
-  size_t rows() const { return rows_; }
-  size_t bits() const { return bits_; }
-  size_t words_per_row() const { return words_per_row_; }
-  size_t bytes() const { return rows_ * words_per_row_ * sizeof(uint64_t); }
-
   uint64_t* row(size_t r) {
     assert(r < rows_);
     return data_ + r * words_per_row_;
@@ -283,10 +215,6 @@ class BitsetArena {
   void SetBit(size_t r, size_t i) {
     assert(i < bits_);
     row(r)[i >> 6] |= 1ULL << (i & 63);
-  }
-  bool TestBit(size_t r, size_t i) const {
-    assert(i < bits_);
-    return (row(r)[i >> 6] >> (i & 63)) & 1ULL;
   }
 
   /// Hints the row into cache ahead of its intersection. No-op on toolchains

@@ -14,42 +14,7 @@ namespace {
 
 // ------------------------------------------------------------- scalar ----
 // The portable reference. Also the differential baseline: every other
-// variant must be bit-exact against these (tests/bitset_kernel_test.cpp).
-
-void ScalarAnd(uint64_t* a, const uint64_t* b, size_t n) {
-  for (size_t i = 0; i < n; ++i) a[i] &= b[i];
-}
-
-void ScalarAndNot(uint64_t* a, const uint64_t* b, size_t n) {
-  for (size_t i = 0; i < n; ++i) a[i] &= ~b[i];
-}
-
-void ScalarOr(uint64_t* a, const uint64_t* b, size_t n) {
-  for (size_t i = 0; i < n; ++i) a[i] |= b[i];
-}
-
-uint64_t ScalarPopcount(const uint64_t* a, size_t n) {
-  uint64_t c = 0;
-  for (size_t i = 0; i < n; ++i) {
-    c += static_cast<uint64_t>(__builtin_popcountll(a[i]));
-  }
-  return c;
-}
-
-uint64_t ScalarIntersectCount(const uint64_t* a, const uint64_t* b, size_t n) {
-  uint64_t c = 0;
-  for (size_t i = 0; i < n; ++i) {
-    c += static_cast<uint64_t>(__builtin_popcountll(a[i] & b[i]));
-  }
-  return c;
-}
-
-bool ScalarAny(const uint64_t* a, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    if (a[i] != 0) return true;
-  }
-  return false;
-}
+// variant must be bit-exact against it (tests/bitset_kernel_test.cpp).
 
 DualCount ScalarIntersectIntoDual(uint64_t* dst, const uint64_t* a,
                                   const uint64_t* b, const uint64_t* mask,
@@ -64,11 +29,7 @@ DualCount ScalarIntersectIntoDual(uint64_t* dst, const uint64_t* a,
   return out;
 }
 
-constexpr Kernels kScalar = {
-    "scalar",         ScalarAnd, ScalarAndNot,
-    ScalarOr,         ScalarPopcount, ScalarIntersectCount,
-    ScalarAny,        ScalarIntersectIntoDual,
-};
+constexpr Kernels kScalar = {"scalar", ScalarIntersectIntoDual};
 
 // --------------------------------------------------------------- neon ----
 // NEON is baseline on aarch64, so this variant is compile-time selected
@@ -78,64 +39,8 @@ constexpr Kernels kScalar = {
     !defined(FAIRCLIQUE_FORCE_SCALAR)
 #define FAIRCLIQUE_HAVE_NEON 1
 
-void NeonAnd(uint64_t* a, const uint64_t* b, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(a + i, vandq_u64(vld1q_u64(a + i), vld1q_u64(b + i)));
-  }
-  for (; i < n; ++i) a[i] &= b[i];
-}
-
-void NeonAndNot(uint64_t* a, const uint64_t* b, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(a + i, vbicq_u64(vld1q_u64(a + i), vld1q_u64(b + i)));
-  }
-  for (; i < n; ++i) a[i] &= ~b[i];
-}
-
-void NeonOr(uint64_t* a, const uint64_t* b, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(a + i, vorrq_u64(vld1q_u64(a + i), vld1q_u64(b + i)));
-  }
-  for (; i < n; ++i) a[i] |= b[i];
-}
-
 inline uint64_t NeonPop128(uint64x2_t v) {
   return vaddvq_u8(vcntq_u8(vreinterpretq_u8_u64(v)));
-}
-
-uint64_t NeonPopcount(const uint64_t* a, size_t n) {
-  uint64_t c = 0;
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) c += NeonPop128(vld1q_u64(a + i));
-  for (; i < n; ++i) c += static_cast<uint64_t>(__builtin_popcountll(a[i]));
-  return c;
-}
-
-uint64_t NeonIntersectCount(const uint64_t* a, const uint64_t* b, size_t n) {
-  uint64_t c = 0;
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    c += NeonPop128(vandq_u64(vld1q_u64(a + i), vld1q_u64(b + i)));
-  }
-  for (; i < n; ++i) {
-    c += static_cast<uint64_t>(__builtin_popcountll(a[i] & b[i]));
-  }
-  return c;
-}
-
-bool NeonAny(const uint64_t* a, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    uint64x2_t v = vld1q_u64(a + i);
-    if ((vgetq_lane_u64(v, 0) | vgetq_lane_u64(v, 1)) != 0) return true;
-  }
-  for (; i < n; ++i) {
-    if (a[i] != 0) return true;
-  }
-  return false;
 }
 
 DualCount NeonIntersectIntoDual(uint64_t* dst, const uint64_t* a,
@@ -158,11 +63,7 @@ DualCount NeonIntersectIntoDual(uint64_t* dst, const uint64_t* a,
   return out;
 }
 
-constexpr Kernels kNeon = {
-    "neon",  NeonAnd, NeonAndNot,
-    NeonOr,  NeonPopcount, NeonIntersectCount,
-    NeonAny, NeonIntersectIntoDual,
-};
+constexpr Kernels kNeon = {"neon", NeonIntersectIntoDual};
 #endif  // aarch64 NEON
 
 // Best variant for this build + CPU (ignoring any override).

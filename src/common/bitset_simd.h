@@ -1,21 +1,21 @@
 #ifndef FAIRCLIQUE_COMMON_BITSET_SIMD_H_
 #define FAIRCLIQUE_COMMON_BITSET_SIMD_H_
 
-/// Runtime-dispatched word-array kernels behind Bitset and the branch
-/// engines' blocked adjacency arenas.
+/// The runtime-dispatched word-array kernel of the bitset branch engine:
+/// the fused candidate-row intersection with its per-attribute counts.
 ///
-/// Every kernel operates on raw uint64_t word arrays (no bit-size concept:
+/// The kernel operates on raw uint64_t word arrays (no bit-size concept:
 /// callers own tail-word hygiene). Three variants exist:
 ///
 ///   scalar — portable reference, always available; also the differential
-///            baseline the fuzz tests and bench_micro compare against.
+///            baseline the tests and bench_micro compare against.
 ///   avx2   — x86-64 with AVX2+POPCNT, selected at runtime via cpuid;
 ///            bitwise ops on 256-bit lanes, popcounts via the vpshufb
 ///            nibble-LUT + psadbw reduction.
 ///   neon   — aarch64 (NEON is baseline there): 128-bit lanes, vcntq_u8.
 ///
 /// Dispatch is one relaxed atomic pointer load, resolved on first use. The
-/// inline wrappers below skip the indirect call entirely for tiny operands
+/// inline wrapper below skips the indirect call entirely for tiny operands
 /// (< kDispatchMinWords), where the loop body beats the call overhead.
 ///
 /// Building with -DFAIRCLIQUE_FORCE_SCALAR=ON (CMake option, CI matrix leg)
@@ -39,15 +39,9 @@ struct DualCount {
   uint64_t in_mask = 0;
 };
 
-/// One kernel variant: a table of function pointers over word arrays.
+/// One kernel variant.
 struct Kernels {
   const char* name;  // "scalar" | "avx2" | "neon"
-  void (*and_inplace)(uint64_t* a, const uint64_t* b, size_t n);
-  void (*andnot_inplace)(uint64_t* a, const uint64_t* b, size_t n);
-  void (*or_inplace)(uint64_t* a, const uint64_t* b, size_t n);
-  uint64_t (*popcount)(const uint64_t* a, size_t n);
-  uint64_t (*intersect_count)(const uint64_t* a, const uint64_t* b, size_t n);
-  bool (*any)(const uint64_t* a, size_t n);
   /// dst[i] = a[i] & b[i] for i in [0, n); returns {popcount(dst),
   /// popcount(dst & mask)}. dst may alias a (not b or mask).
   DualCount (*intersect_into_dual)(uint64_t* dst, const uint64_t* a,
@@ -85,66 +79,7 @@ const Kernels* Avx2Kernels();
 /// saves. (AVX2 processes 4 words per lane; dispatch from 8 words up.)
 inline constexpr size_t kDispatchMinWords = 8;
 
-// ------------------------------------------------------------------------
-// Inline wrappers: tiny-operand fast path, dispatched kernel beyond.
-
-inline void AndInPlace(uint64_t* a, const uint64_t* b, size_t n) {
-  if (n < kDispatchMinWords) {
-    for (size_t i = 0; i < n; ++i) a[i] &= b[i];
-    return;
-  }
-  Active().and_inplace(a, b, n);
-}
-
-inline void AndNotInPlace(uint64_t* a, const uint64_t* b, size_t n) {
-  if (n < kDispatchMinWords) {
-    for (size_t i = 0; i < n; ++i) a[i] &= ~b[i];
-    return;
-  }
-  Active().andnot_inplace(a, b, n);
-}
-
-inline void OrInPlace(uint64_t* a, const uint64_t* b, size_t n) {
-  if (n < kDispatchMinWords) {
-    for (size_t i = 0; i < n; ++i) a[i] |= b[i];
-    return;
-  }
-  Active().or_inplace(a, b, n);
-}
-
-inline uint64_t Popcount(const uint64_t* a, size_t n) {
-  if (n < kDispatchMinWords) {
-    uint64_t c = 0;
-    for (size_t i = 0; i < n; ++i) {
-      c += static_cast<uint64_t>(__builtin_popcountll(a[i]));
-    }
-    return c;
-  }
-  return Active().popcount(a, n);
-}
-
-inline uint64_t IntersectCount(const uint64_t* a, const uint64_t* b,
-                               size_t n) {
-  if (n < kDispatchMinWords) {
-    uint64_t c = 0;
-    for (size_t i = 0; i < n; ++i) {
-      c += static_cast<uint64_t>(__builtin_popcountll(a[i] & b[i]));
-    }
-    return c;
-  }
-  return Active().intersect_count(a, b, n);
-}
-
-inline bool Any(const uint64_t* a, size_t n) {
-  if (n < kDispatchMinWords) {
-    for (size_t i = 0; i < n; ++i) {
-      if (a[i] != 0) return true;
-    }
-    return false;
-  }
-  return Active().any(a, n);
-}
-
+// Tiny-operand fast path, dispatched kernel beyond.
 inline DualCount IntersectIntoDual(uint64_t* dst, const uint64_t* a,
                                    const uint64_t* b, const uint64_t* mask,
                                    size_t n) {

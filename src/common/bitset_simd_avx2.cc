@@ -36,79 +36,6 @@ inline uint64_t ReduceLanes(__m256i acc) {
          static_cast<uint64_t>(_mm256_extract_epi64(acc, 3));
 }
 
-void Avx2And(uint64_t* a, const uint64_t* b, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + i),
-                        _mm256_and_si256(va, vb));
-  }
-  for (; i < n; ++i) a[i] &= b[i];
-}
-
-void Avx2AndNot(uint64_t* a, const uint64_t* b, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // andnot computes ~first & second.
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + i),
-                        _mm256_andnot_si256(vb, va));
-  }
-  for (; i < n; ++i) a[i] &= ~b[i];
-}
-
-void Avx2Or(uint64_t* a, const uint64_t* b, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + i),
-                        _mm256_or_si256(va, vb));
-  }
-  for (; i < n; ++i) a[i] |= b[i];
-}
-
-uint64_t Avx2Popcount(const uint64_t* a, size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    acc = _mm256_add_epi64(acc, PopcountBytes256(v));
-  }
-  uint64_t c = ReduceLanes(acc);
-  for (; i < n; ++i) c += static_cast<uint64_t>(_mm_popcnt_u64(a[i]));
-  return c;
-}
-
-uint64_t Avx2IntersectCount(const uint64_t* a, const uint64_t* b, size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    acc = _mm256_add_epi64(acc, PopcountBytes256(_mm256_and_si256(va, vb)));
-  }
-  uint64_t c = ReduceLanes(acc);
-  for (; i < n; ++i) {
-    c += static_cast<uint64_t>(_mm_popcnt_u64(a[i] & b[i]));
-  }
-  return c;
-}
-
-bool Avx2Any(const uint64_t* a, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    if (!_mm256_testz_si256(v, v)) return true;
-  }
-  for (; i < n; ++i) {
-    if (a[i] != 0) return true;
-  }
-  return false;
-}
-
 DualCount Avx2IntersectIntoDual(uint64_t* dst, const uint64_t* a,
                                 const uint64_t* b, const uint64_t* mask,
                                 size_t n) {
@@ -138,11 +65,7 @@ DualCount Avx2IntersectIntoDual(uint64_t* dst, const uint64_t* a,
   return out;
 }
 
-constexpr Kernels kAvx2 = {
-    "avx2",  Avx2And, Avx2AndNot,
-    Avx2Or,  Avx2Popcount, Avx2IntersectCount,
-    Avx2Any, Avx2IntersectIntoDual,
-};
+constexpr Kernels kAvx2 = {"avx2", Avx2IntersectIntoDual};
 
 }  // namespace
 

@@ -166,8 +166,8 @@ class BitsetSets {
     const size_t u = cursor;
     // "Rest" form of the ordered expansion: clearing the pivot makes
     // cand = {bits > u still eligible} (every bit < u was a pivot
-    // already), so cand & nbr[u] equals the textbook
-    // (cand & nbr[u]).ResetBelow(u + 1) without the extra pass.
+    // already), so cand & nbr[u] equals the textbook cand & nbr[u]
+    // restricted to bits > u without the extra pass.
     cand.Reset(u);
     cursor = cand.NextSetBit(u + 1);
     // Pull the next pivot's adjacency row toward L1 while this child's
@@ -395,14 +395,6 @@ class ComponentSearch {
   AttrCounts r_cnt_;
 };
 
-// Bytes the bitset engine's blocked adjacency arena takes for an n-vertex
-// component: n rows of n bits, each row padded to a whole cache line.
-uint64_t ArenaBytesFor(VertexId n) {
-  uint64_t words_per_row =
-      ((static_cast<uint64_t>(n) + 63) / 64 + 7) & ~uint64_t{7};
-  return static_cast<uint64_t>(n) * words_per_row * sizeof(uint64_t);
-}
-
 }  // namespace
 
 const std::vector<uint32_t>& PreparedComponent::BranchPositions() const {
@@ -449,7 +441,8 @@ uint64_t BitsetArenaBudgetBytes() {
 EngineDecision ResolveEngineDecision(SearchEngine engine,
                                      VertexId component_vertices) {
   EngineDecision d;
-  d.arena_bytes = ArenaBytesFor(component_vertices);
+  d.arena_bytes =
+      BitsetArena::BytesFor(component_vertices, component_vertices);
   d.budget_bytes = BitsetArenaBudgetBytes();
   if (engine != SearchEngine::kAuto) {
     d.engine = engine;
@@ -458,10 +451,6 @@ EngineDecision ResolveEngineDecision(SearchEngine engine,
                                                : SearchEngine::kVector;
   }
   return d;
-}
-
-SearchEngine ResolveEngine(SearchEngine engine, VertexId component_vertices) {
-  return ResolveEngineDecision(engine, component_vertices).engine;
 }
 
 const char* SearchEngineName(SearchEngine engine) {
@@ -562,8 +551,9 @@ ComponentBranchResult BranchComponent(const PreparedGraph& prepared,
   obs::ProfileScope profile_scope("BranchComponent");
   WallTimer timer;
   const std::vector<uint32_t>& rank_of = comp.BranchPositions();
-  if (ResolveEngine(options.engine, comp.graph.num_vertices()) ==
-      SearchEngine::kBitset) {
+  const SearchEngine engine =
+      ResolveEngineDecision(options.engine, comp.graph.num_vertices()).engine;
+  if (engine == SearchEngine::kBitset) {
     ComponentSearch<BitsetSets>(comp, rank_of, options, deadline, floor, &out)
         .Run();
   } else {
@@ -651,6 +641,9 @@ bool BranchStage::RunTask(size_t task) {
     if (results_[task].aborted) {
       stopped_.store(true, std::memory_order_relaxed);
     }
+  } else {
+    // A sibling aborted first, so this component was never searched.
+    results_[task].aborted = true;
   }
   if (options_.progress != nullptr) {
     done_[task].store(true, std::memory_order_relaxed);

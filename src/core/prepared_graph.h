@@ -137,9 +137,6 @@ uint64_t BitsetArenaBudgetBytes();
 EngineDecision ResolveEngineDecision(SearchEngine engine,
                                      VertexId component_vertices);
 
-/// Shorthand for ResolveEngineDecision(...).engine.
-SearchEngine ResolveEngine(SearchEngine engine, VertexId component_vertices);
-
 /// Protocol/plan name of an engine: "auto" | "vector" | "bitset".
 const char* SearchEngineName(SearchEngine engine);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <optional>
 #include <utility>
 
@@ -175,8 +176,11 @@ bool QueryExecutor::PreSearch(QueryState& qs) {
     remaining_deadline =
         request.deadline_seconds - qs.queued.ElapsedSeconds();
     if (remaining_deadline <= 0.0) {
+      char deadline[32];
+      std::snprintf(deadline, sizeof(deadline), "%g",
+                    request.deadline_seconds);
       qs.response.status = Status::Aborted(
-          "deadline of " + std::to_string(request.deadline_seconds) +
+          std::string("deadline of ") + deadline +
           "s expired while the request waited in the queue");
       qs.response.deadline_missed = true;
       qs.response.stop_reason = "deadline";

@@ -131,43 +131,49 @@ TEST(RngTest, ShufflePreservesMultiset) {
 
 // ---------------------------------------------------------------- Bitset --
 
+std::vector<size_t> SetBits(const Bitset& bs) {
+  std::vector<size_t> out;
+  bs.ForEachSetBit([&](size_t i) { out.push_back(i); });
+  return out;
+}
+
 TEST(BitsetTest, SetTestResetRoundTrip) {
   Bitset bs(130);
-  EXPECT_EQ(bs.Count(), 0u);
+  EXPECT_TRUE(SetBits(bs).empty());
   bs.Set(0);
   bs.Set(64);
   bs.Set(129);
-  EXPECT_TRUE(bs.Test(0));
-  EXPECT_TRUE(bs.Test(64));
-  EXPECT_TRUE(bs.Test(129));
-  EXPECT_FALSE(bs.Test(1));
-  EXPECT_EQ(bs.Count(), 3u);
+  EXPECT_EQ(SetBits(bs), (std::vector<size_t>{0, 64, 129}));
   bs.Reset(64);
-  EXPECT_FALSE(bs.Test(64));
-  EXPECT_EQ(bs.Count(), 2u);
+  EXPECT_EQ(SetBits(bs), (std::vector<size_t>{0, 129}));
 }
 
 TEST(BitsetTest, SetAllRespectsSize) {
   Bitset bs(70);
   bs.SetAll();
-  EXPECT_EQ(bs.Count(), 70u);
+  std::vector<size_t> set = SetBits(bs);
+  EXPECT_EQ(set.size(), 70u);
+  EXPECT_EQ(set.back(), 69u);
 }
 
 TEST(BitsetTest, IntersectionAndDifference) {
-  Bitset a(128), b(128);
+  Bitset a(128), b(128), all(128);
   for (size_t i = 0; i < 128; i += 2) a.Set(i);
   for (size_t i = 0; i < 128; i += 3) b.Set(i);
-  Bitset inter = a;
-  inter &= b;
+  all.SetAll();
+  std::vector<size_t> want_inter, want_diff;
   for (size_t i = 0; i < 128; ++i) {
-    EXPECT_EQ(inter.Test(i), i % 6 == 0) << i;
+    if (i % 6 == 0) want_inter.push_back(i);
+    if (i % 2 == 0 && i % 3 != 0) want_diff.push_back(i);
   }
-  EXPECT_EQ(a.IntersectCount(b), inter.Count());
+  Bitset inter(128);
+  simd::DualCount dc = inter.AssignIntersectDual(a, b.words(), all);
+  EXPECT_EQ(SetBits(inter), want_inter);
+  EXPECT_EQ(dc.total, want_inter.size());
+  EXPECT_EQ(dc.in_mask, want_inter.size());
   Bitset diff = a;
   diff -= b;
-  for (size_t i = 0; i < 128; ++i) {
-    EXPECT_EQ(diff.Test(i), (i % 2 == 0) && (i % 3 != 0)) << i;
-  }
+  EXPECT_EQ(SetBits(diff), want_diff);
 }
 
 TEST(BitsetTest, NextSetBitWalksAllBits) {
@@ -193,8 +199,9 @@ TEST(BitsetTest, ForEachSetBitMatchesNextSetBit) {
 TEST(BitsetTest, EmptyBitset) {
   Bitset bs;
   EXPECT_EQ(bs.size(), 0u);
-  EXPECT_EQ(bs.Count(), 0u);
-  EXPECT_FALSE(bs.Any());
+  EXPECT_EQ(bs.NextSetBit(0), 0u);
+  EXPECT_TRUE(SetBits(bs).empty());
+  EXPECT_TRUE(bs.TailClean());
 }
 
 // ----------------------------------------------------------------- Timer --

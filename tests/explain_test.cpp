@@ -119,6 +119,31 @@ TEST(ExplainTest, UnsearchedComponentsCarryNoStats) {
   EXPECT_EQ(json.find("\"engine\""), std::string::npos) << json;
 }
 
+TEST(ExplainTest, ComponentSkippedAfterASiblingAbortReadsAborted) {
+  // The baseline preset seeds nothing, so both components become branch
+  // tasks. node_limit = 1 aborts the larger one, and the smaller one is
+  // then skipped unsearched: its row must say so.
+  GraphRegistry registry;
+  auto graph = RegisterGraph(registry, "two", TwoComponentGraph());
+  QueryExecutor executor(ExecutorOptions{1, 4}, nullptr);
+
+  QueryRequest request;
+  request.graph = graph;
+  request.options = BaselineOptions(1, 2);
+  request.options.node_limit = 1;
+  request.explain = true;
+  QueryResponse response = executor.Run(request);
+  ASSERT_TRUE(response.status.ok());
+  const std::string& json = response.plan_json;
+  const size_t second = json.find("{\"index\":1,");
+  ASSERT_NE(second, std::string::npos) << json;
+  const std::string row =
+      json.substr(second, json.find('}', second) - second);
+  EXPECT_NE(row.find("\"searched\":true"), std::string::npos) << json;
+  EXPECT_NE(row.find("\"nodes\":0,"), std::string::npos) << json;
+  EXPECT_NE(row.find("\"aborted\":true"), std::string::npos) << json;
+}
+
 TEST(ExplainTest, QueuedPlanIsInternallyConsistent) {
   // The acceptance check from the issue: per-component stage micros and
   // node counts in the plan must sum exactly to the totals the response

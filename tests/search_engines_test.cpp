@@ -2,7 +2,6 @@
 
 #include <ostream>
 
-#include "common/bitset.h"
 #include "core/enumeration.h"
 #include "core/max_fair_clique.h"
 #include "core/prepared_graph.h"
@@ -14,19 +13,6 @@ namespace fairclique {
 namespace {
 
 using testing_util::RandomAttributedGraph;
-
-TEST(BitsetResetBelowTest, ClearsExactPrefix) {
-  for (size_t n : {1u, 63u, 64u, 65u, 130u}) {
-    for (size_t cut : {0u, 1u, 63u, 64u, 65u, 129u, 200u}) {
-      Bitset bs(n);
-      bs.SetAll();
-      bs.ResetBelow(cut);
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(bs.Test(i), i >= cut) << "n=" << n << " cut=" << cut;
-      }
-    }
-  }
-}
 
 // Differential sweep: both kernels are exact, so they must agree with each
 // other and the oracle on every instance, with every prune configuration.

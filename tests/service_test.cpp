@@ -394,6 +394,23 @@ TEST(QueryExecutorTest, DeadlineAnchoredAtSubmitExpiresQueuedRequests) {
   }
 }
 
+TEST(QueryExecutorTest, ExpiredDeadlineMessageKeepsItsPrecision) {
+  // A sub-microsecond deadline is spent before the first clock read, and
+  // the message must name it as given rather than round it to "0.000000s".
+  GraphRegistry registry;
+  auto graph = RegisterGraph(registry, "g", MakeGraph("ab", {{0, 1}}));
+  QueryExecutor executor(ExecutorOptions{1, 4}, nullptr);
+  QueryRequest request;
+  request.graph = graph;
+  request.options = BaselineOptions(1, 1);
+  request.deadline_seconds = 1e-9;
+  QueryResponse response = executor.Run(request);
+  EXPECT_TRUE(response.status.IsAborted());
+  EXPECT_NE(response.status.message().find("deadline of 1e-09s expired"),
+            std::string::npos)
+      << response.status.message();
+}
+
 TEST(QueryExecutorTest, QueueDepthCountsComponentTasks) {
   // Saturation must be visible even when it lives entirely in the component
   // queue: a disconnected graph expands one query into several Branch

@@ -21,9 +21,10 @@ class WallTimer {
         .count();
   }
 
-  /// Elapsed time in seconds (fractional).
+  /// Elapsed time in seconds, at the clock's own resolution (not rounded
+  /// to whole microseconds, so sub-microsecond budgets expire).
   double ElapsedSeconds() const {
-    return static_cast<double>(ElapsedMicros()) * 1e-6;
+    return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
   /// Microseconds between `earlier`'s start and this timer's start — the

@@ -137,11 +137,15 @@ struct SearchResult {
 /// the K4 case in tests/max_fair_clique_test.cpp shows. Exact: verified
 /// against the independent Bron-Kerbosch oracle in the same file.
 ///
-/// Since the staged-plan refactor this is a thin wrapper over
-/// core/prepared_graph.h: PrepareGraph (Reduce + Decompose, delta-
-/// independent) followed by SearchPreparedGraph (Branch). Workloads that
-/// sweep delta/bounds on one (graph, k) should prepare once and branch per
-/// query instead of paying the reduction every time.
+/// This is a thin wrapper over core/prepared_graph.h. SeedAndLift seeds
+/// the incumbent on `g` (HeurRFC when use_heuristic, or the warm start) and
+/// lifts k to k' = max(k, ceil((|seed| + 1 - delta) / 2)): any fair clique
+/// larger than the seed has at least k' of each attribute. PrepareGraph
+/// (Reduce + Decompose, delta-independent) then runs at k', and the Branch
+/// stage searches at (k', delta) against the seed. The answer's size is
+/// that of a search at k; its witness may be a different maximum clique.
+/// Workloads that sweep delta/bounds on one (graph, k) should prepare once
+/// and branch per query instead of paying the reduction every time.
 SearchResult FindMaximumFairClique(const AttributedGraph& g,
                                    const SearchOptions& options);
 

@@ -303,10 +303,14 @@ class ComponentSearch {
       stats_.size_prunes++;
       return;
     }
-    // Attribute feasibility (Alg. 3 lines 20-23): both attributes must be
-    // able to reach k.
-    if (r_cnt_.a() + cand_cnt.a() < options_.params.k ||
-        r_cnt_.b() + cand_cnt.b() < options_.params.k) {
+    // Attribute feasibility (Alg. 3 lines 20-23), at the incumbent-lifted
+    // k_live = max(k, ceil((Known() + 1 - delta) / 2)): both attributes
+    // must be able to reach it. Sound because a clique recorded below this
+    // node must beat Known() (a + b >= Known() + 1) and be fair
+    // (|a - b| <= delta), so 2 min(a, b) >= Known() + 1 - delta.
+    const int64_t k_live = LiftedK(options_.params, Known());
+    if (r_cnt_.a() + cand_cnt.a() < k_live ||
+        r_cnt_.b() + cand_cnt.b() < k_live) {
       stats_.attr_prunes++;
       return;
     }
@@ -502,21 +506,25 @@ std::shared_ptr<const PreparedGraph> PrepareGraph(
   return prepared;
 }
 
-IncumbentSeed SeedIncumbent(const AttributedGraph& g,
-                            const PreparedGraph& prepared,
-                            const SearchOptions& options) {
+namespace {
+
+// HeurRFC on `search` (whose vertex v is `ids[v]` of `g`, or v itself when
+// `ids` is null), then the warm start when it is larger.
+IncumbentSeed SeedOn(const AttributedGraph& g, const AttributedGraph& search,
+                     const std::vector<VertexId>* ids,
+                     const SearchOptions& options) {
   obs::ProfileScope profile_scope("SeedIncumbent");
+  WallTimer seed_timer;
   IncumbentSeed seed;
-  const AttributedGraph& rg = prepared.reduced;
-  if (options.use_heuristic && rg.num_vertices() > 0) {
+  if (options.use_heuristic && search.num_vertices() > 0) {
     WallTimer heur_timer;
-    HeuristicResult heur = HeurRFC(rg, options.params);
+    HeuristicResult heur = HeurRFC(search, options.params);
     seed.heuristic_micros = heur_timer.ElapsedMicros();
     seed.heuristic_size = static_cast<int64_t>(heur.clique.size());
     if (!heur.clique.empty()) {
       seed.clique.attr_counts = heur.clique.attr_counts;
       for (VertexId v : heur.clique.vertices) {
-        seed.clique.vertices.push_back(prepared.original_ids[v]);
+        seed.clique.vertices.push_back(ids != nullptr ? (*ids)[v] : v);
       }
     }
   }
@@ -529,8 +537,34 @@ IncumbentSeed SeedIncumbent(const AttributedGraph& g,
       VerifyFairClique(g, options.warm_start, options.params).ok()) {
     seed.clique.vertices = options.warm_start;
     seed.clique.attr_counts = CountAttributes(g, options.warm_start);
+    seed.from_warm_start = true;
   }
+  seed.seed_micros = seed_timer.ElapsedMicros();
   return seed;
+}
+
+}  // namespace
+
+IncumbentSeed SeedIncumbent(const AttributedGraph& g,
+                            const PreparedGraph& prepared,
+                            const SearchOptions& options) {
+  FC_CHECK(g.num_vertices() >= prepared.source_vertices)
+      << "SeedIncumbent: graph is smaller than the plan's source";
+  return SeedOn(g, prepared.reduced, &prepared.original_ids, options);
+}
+
+int LiftedK(const FairnessParams& params, int64_t seed_size) {
+  // A lower bound on 2 min(a, b) of any fair clique beating the seed.
+  const int64_t need = seed_size + 1 - params.delta;
+  return static_cast<int>(std::max<int64_t>(params.k, (need + 1) / 2));
+}
+
+LiftedSeed SeedAndLift(const AttributedGraph& g, const SearchOptions& options) {
+  LiftedSeed out;
+  out.seed = SeedOn(g, g, nullptr, options);
+  out.plan_k = LiftedK(options.params,
+                       static_cast<int64_t>(out.seed.clique.size()));
+  return out;
 }
 
 ComponentBranchResult BranchComponent(const PreparedGraph& prepared,
@@ -591,20 +625,17 @@ SearchResult AggregatePreparedSearch(
   return result;
 }
 
-BranchStage::BranchStage(const AttributedGraph& g,
-                         const PreparedGraph& prepared,
+BranchStage::BranchStage(const PreparedGraph& prepared,
                          const SearchOptions& options,
-                         const Deadline& deadline)
+                         const Deadline& deadline, IncumbentSeed seed)
     : prepared_(prepared),
       options_(options),
-      deadline_(deadline) {
+      deadline_(deadline),
+      seed_(std::move(seed)) {
   FC_CHECK(options.params.k >= 1) << "fairness parameter k must be >= 1";
   FC_CHECK(options.params.delta >= 0) << "delta must be >= 0";
   FC_CHECK(prepared.Compatible(options))
       << "BranchStage: options (k, reductions) do not match the plan";
-  FC_CHECK(g.num_vertices() >= prepared.source_vertices)
-      << "BranchStage: graph is smaller than the plan's source";
-  seed_ = SeedIncumbent(g, prepared, options);
   floor_.store(static_cast<int64_t>(seed_.clique.size()),
                std::memory_order_relaxed);
   // Static selection against the seed; BranchComponent re-checks against
@@ -671,16 +702,30 @@ SearchResult BranchStage::Aggregate() const {
   return AggregatePreparedSearch(prepared_, seed_, results_);
 }
 
+SearchResult SearchPreparedGraph(const PreparedGraph& prepared,
+                                 const SearchOptions& options,
+                                 IncumbentSeed seed) {
+  WallTimer search_timer;
+  BranchStage stage(prepared, options, Deadline(options.time_limit_seconds),
+                    std::move(seed));
+  for (size_t t = 0; t < stage.num_tasks(); ++t) stage.RunTask(t);
+  SearchResult result = stage.Aggregate();
+  result.stats.search_micros = search_timer.ElapsedMicros();
+  result.stats.total_micros = result.stats.search_micros;
+  return result;
+}
+
 SearchResult SearchPreparedGraph(const AttributedGraph& g,
                                  const PreparedGraph& prepared,
                                  const SearchOptions& options) {
   WallTimer total_timer;
-  BranchStage stage(g, prepared, options,
-                    Deadline(options.time_limit_seconds));
-  WallTimer search_timer;
-  for (size_t t = 0; t < stage.num_tasks(); ++t) stage.RunTask(t);
-  SearchResult result = stage.Aggregate();
-  result.stats.search_micros = search_timer.ElapsedMicros();
+  IncumbentSeed seed = SeedIncumbent(g, prepared, options);
+  // The time limit covers the seeding as well.
+  SearchOptions branch_options = options;
+  branch_options.time_limit_seconds = RemainingTimeBudget(
+      options.time_limit_seconds, total_timer.ElapsedSeconds());
+  SearchResult result =
+      SearchPreparedGraph(prepared, branch_options, std::move(seed));
   result.stats.total_micros = total_timer.ElapsedMicros();
   return result;
 }

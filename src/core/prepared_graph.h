@@ -57,6 +57,10 @@ struct PreparedComponent {
 /// orderings are internally synchronized) and is shared across queries as
 /// shared_ptr<const>; the service-layer PreparedGraphCache keys it by
 /// (graph fingerprint, k, reduction options).
+///
+/// `k` is the plan's own k, which may exceed a request's: a query without a
+/// cached plan at its k seeds first and prepares at the lifted k of
+/// SeedAndLift, and queries branch at the plan's k.
 struct PreparedGraph {
   int k = 1;
   ReductionOptions reductions;
@@ -94,17 +98,44 @@ std::shared_ptr<const PreparedGraph> PrepareGraph(
     const AttributedGraph& g, int k, const ReductionOptions& reductions,
     ParallelHelpers* helpers = nullptr);
 
-/// Delta-dependent incumbent seeding (the old stages 2/2b): optional
-/// HeurRFC on the reduced graph plus an optional caller-supplied warm
-/// start, verified against `g` (the graph the plan was prepared from).
+/// The incumbent a query's Branch stage starts from: a HeurRFC clique
+/// and/or a caller-supplied warm start, verified against the input graph.
 struct IncumbentSeed {
   CliqueResult clique;  // original input-graph ids; may be empty
   int64_t heuristic_micros = 0;
   int64_t heuristic_size = 0;
+  /// Whole seeding time: the heuristic plus the warm-start check.
+  int64_t seed_micros = 0;
+  /// The clique is the caller's warm start (it beat the heuristic's).
+  bool from_warm_start = false;
 };
+
+/// Seeds a query that branches on a plan already in hand: HeurRFC (when
+/// options.use_heuristic) on the plan's reduced graph, or the warm start
+/// when it is larger. `g` is the graph the plan was prepared from.
 IncumbentSeed SeedIncumbent(const AttributedGraph& g,
                             const PreparedGraph& prepared,
                             const SearchOptions& options);
+
+/// The smallest attribute count a (k, delta)-fair clique larger than
+/// `seed_size` can have: max(k, ceil((seed_size + 1 - delta) / 2)). Such a
+/// clique has a + b >= seed_size + 1 and |a - b| <= delta, so
+/// 2 min(a, b) >= seed_size + 1 - delta. An empty seed gives k.
+int LiftedK(const FairnessParams& params, int64_t seed_size);
+
+/// A seed found before any plan exists, and the k to prepare the plan at.
+struct LiftedSeed {
+  IncumbentSeed seed;
+  int plan_k = 1;  // LiftedK(options.params, |seed|)
+};
+
+/// Seeds a query that has no plan yet: HeurRFC (when options.use_heuristic)
+/// on `g` itself, or the warm start when it is larger. Every (k, delta)-fair
+/// clique that beats the seed is also (plan_k, delta)-fair, so Lemmas 2-4
+/// at plan_k keep it: the query prepares at plan_k, branches at
+/// (plan_k, delta) against the seed, and answers the larger of the two.
+/// plan_k == k when the seed is empty or delta is too large to lift.
+LiftedSeed SeedAndLift(const AttributedGraph& g, const SearchOptions& options);
 
 /// Outcome of branching one prepared component.
 struct ComponentBranchResult {
@@ -176,10 +207,11 @@ SearchResult AggregatePreparedSearch(
 /// stage.
 class BranchStage {
  public:
-  /// Seeds the incumbent (SeedIncumbent) and keeps the components large
-  /// enough to beat it. `deadline` bounds every task.
-  BranchStage(const AttributedGraph& g, const PreparedGraph& prepared,
-              const SearchOptions& options, const Deadline& deadline);
+  /// Starts from `seed` (SeedIncumbent or SeedAndLift) and keeps the
+  /// components large enough to beat it. `options` must be Compatible with
+  /// `prepared`; `deadline` bounds every task.
+  BranchStage(const PreparedGraph& prepared, const SearchOptions& options,
+              const Deadline& deadline, IncumbentSeed seed);
 
   BranchStage(const BranchStage&) = delete;
   BranchStage& operator=(const BranchStage&) = delete;
@@ -220,10 +252,15 @@ class BranchStage {
   std::atomic<bool> stopped_{false};
 };
 
-/// The full Branch stage on the calling thread: a BranchStage whose tasks
-/// run in order, then aggregated. Identical answers to
-/// FindMaximumFairClique(g, options), which is a thin wrapper over
-/// PrepareGraph + this.
+/// The full Branch stage on the calling thread: a BranchStage started from
+/// `seed` whose tasks run in order, then aggregated.
+SearchResult SearchPreparedGraph(const PreparedGraph& prepared,
+                                 const SearchOptions& options,
+                                 IncumbentSeed seed);
+
+/// SeedIncumbent, then the Branch stage above. Same answer size as
+/// FindMaximumFairClique(g, options), which prepares at the lifted k
+/// instead.
 SearchResult SearchPreparedGraph(const AttributedGraph& g,
                                  const PreparedGraph& prepared,
                                  const SearchOptions& options);

@@ -38,9 +38,13 @@ struct PreparedMigrationOutcome {
 /// Thread-safe LRU cache of PreparedGraph artifacts, keyed by
 /// (graph content fingerprint, k, reduction options) — exactly the inputs
 /// of PrepareGraph, which are independent of delta, bounds, engine,
-/// heuristic, and thread count. A delta- or bound-sweep over one (graph, k)
-/// therefore pays the reduction + decomposition cost once and every
-/// subsequent query goes straight to the Branch stage.
+/// heuristic, and thread count. The k in the key is the plan's own, which
+/// may exceed the request's: the QueryExecutor probes the request's k, and
+/// on a miss seeds and probes or builds the plan at the lifted k of
+/// SeedAndLift (so such a query counts two lookups here). A delta- or
+/// bound-sweep over one graph therefore pays the reduction + decomposition
+/// cost once per distinct plan k, and every later query goes straight to
+/// the Branch stage.
 ///
 /// Values are shared_ptr<const PreparedGraph>: a hit is one refcount bump,
 /// and a plan evicted while queries still branch over it stays valid. A

@@ -50,6 +50,8 @@ struct QueryExecutor::QueryState {
   /// deadline truncates the search it seeded.
   std::optional<WarmHint> hint;
 
+  /// The incumbent the Branch stage starts from; moved into `stage`.
+  IncumbentSeed seed;
   std::shared_ptr<const PreparedGraph> prepared;
   int64_t prepare_micros = 0;  // 0 on a prepared-cache hit
   Deadline deadline;           // spans prepare + branch, like the monolith
@@ -76,6 +78,7 @@ struct QueryExecutor::QueryState {
   bool from_queue = false;     // admitted from the queue (vs synchronous Run)
   int64_t t_admit = 0;         // processing began (== queue wait)
   int64_t t_probe_end = -1;    // result-cache probe + hint handling done
+  int64_t t_seed_end = -1;     // incumbent seeded
   int64_t t_prepare_end = -1;  // prepared plan in hand
   int64_t t_branch_end = -1;   // Branch stage done (aggregation follows)
   /// Per-task Branch start times; each slot is written only by its own
@@ -260,26 +263,46 @@ bool QueryExecutor::PreSearch(QueryState& qs) {
   // where reduction time counted against the budget.
   qs.deadline = Deadline(qs.effective.time_limit_seconds);
 
-  // Prepared plan: probe the shared cache, else build (and publish). The
-  // plan is keyed by (fingerprint, k, reductions) only, so a delta/bound
-  // sweep on one graph reduces exactly once.
+  // Prepared plan. A plan cached at the request's k serves as it is,
+  // seeded on its reduced graph. Otherwise the query seeds on the input
+  // graph first and prepares at the lifted k (SeedAndLift), so the
+  // reduction keeps only what could beat the seed. Plans are keyed by
+  // (fingerprint, plan k, reductions) only, so a delta/bound sweep on one
+  // graph reduces once per plan k, and a lifted plan is shared and
+  // single-flighted like any other.
+  const AttributedGraph& g = *request.graph->graph;
+  const uint64_t fingerprint = request.graph->fingerprint;
   const bool use_prepared =
       prepared_cache_ != nullptr && !request.bypass_prepared_cache;
   if (use_prepared) {
-    // Single-flight through the cache: concurrent identical cold queries
-    // share one reduction; only the builder pays (and logs) it.
-    std::string prepared_key = PreparedGraphCache::MakeKey(
-        request.graph->fingerprint, qs.effective.params.k,
-        qs.effective.reductions);
+    qs.prepared = prepared_cache_->Get(PreparedGraphCache::MakeKey(
+        fingerprint, qs.effective.params.k, qs.effective.reductions));
+  }
+  if (qs.prepared != nullptr) {
+    qs.seed = SeedIncumbent(g, *qs.prepared, qs.effective);
+    if (qs.response.trace_id != 0) qs.t_seed_end = qs.queued.ElapsedMicros();
+    qs.response.prepared_hit = true;
+    prepared_hits_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    LiftedSeed lifted = SeedAndLift(g, qs.effective);
+    qs.seed = std::move(lifted.seed);
+    if (qs.response.trace_id != 0) qs.t_seed_end = qs.queued.ElapsedMicros();
+    const int plan_k = lifted.plan_k;
+    auto build = [&] {
+      return PrepareGraph(g, plan_k, qs.effective.reductions, this);
+    };
     WallTimer prepare_timer;
-    bool built = false;
-    qs.prepared = prepared_cache_->GetOrPrepare(
-        prepared_key, request.graph->fingerprint,
-        [&] {
-          return PrepareGraph(*request.graph->graph, qs.effective.params.k,
-                              qs.effective.reductions, this);
-        },
-        &built);
+    bool built = true;
+    if (use_prepared) {
+      // Single-flight through the cache: concurrent identical cold queries
+      // share one reduction; only the builder pays (and logs) it.
+      qs.prepared = prepared_cache_->GetOrPrepare(
+          PreparedGraphCache::MakeKey(fingerprint, plan_k,
+                                      qs.effective.reductions),
+          fingerprint, build, &built);
+    } else {
+      qs.prepared = build();
+    }
     if (built) {
       qs.prepare_micros = prepare_timer.ElapsedMicros();
       prepared_builds_.fetch_add(1, std::memory_order_relaxed);
@@ -287,16 +310,13 @@ bool QueryExecutor::PreSearch(QueryState& qs) {
       qs.response.prepared_hit = true;
       prepared_hits_.fetch_add(1, std::memory_order_relaxed);
     }
-  } else {
-    WallTimer prepare_timer;
-    qs.prepared = PrepareGraph(*request.graph->graph, qs.effective.params.k,
-                               qs.effective.reductions, this);
-    qs.prepare_micros = prepare_timer.ElapsedMicros();
-    prepared_builds_.fetch_add(1, std::memory_order_relaxed);
   }
+  // Branch at the plan's k: every fair clique that beats the seed is fair
+  // at that k too, and the seed stays the answer when none does.
+  qs.effective.params.k = qs.prepared->k;
   if (qs.response.trace_id != 0) {
     qs.t_prepare_end = qs.queued.ElapsedMicros();
-    prepare_hist_->Record(qs.t_prepare_end - qs.t_probe_end);
+    prepare_hist_->Record(qs.t_prepare_end - qs.t_seed_end);
   }
   return false;
 }
@@ -385,11 +405,21 @@ void QueryExecutor::BuildExplain(QueryState& qs) {
       .Field("hit", qs.response.cache_hit)
       .EndObject();
 
+  // lifted_k is the k the plan was prepared and branched at: the
+  // request's k on a plan hit, SeedAndLift's on a miss.
+  static const IncumbentSeed kNoSeed;
+  const IncumbentSeed& seed = stage != nullptr ? stage->seed() : kNoSeed;
+  const char* seed_source = seed.from_warm_start ? "warm_start"
+                            : seed.clique.empty() ? "none"
+                                                  : "heuristic";
   w.Key("seed").BeginObject();
   w.Field("heuristic_micros", totals.heuristic_micros)
       .Field("heuristic_size", totals.heuristic_size)
       .Field("warm_start", qs.response.warm_start)
-      .Field("seed_size", stage != nullptr ? stage->seed().clique.size() : 0)
+      .Field("lifted_k", stage != nullptr ? prepared.k : 0)
+      .Field("seed_source", stage != nullptr ? seed_source : "")
+      .Field("seed_micros", seed.seed_micros)
+      .Field("seed_size", seed.clique.size())
       .EndObject();
 
   // The SIMD variant the bitset word ops ran with and the memory budget
@@ -489,12 +519,16 @@ void QueryExecutor::RecordTelemetry(QueryState& qs) {
     add_span("result_cache_probe", -1, qs.t_admit, qs.t_probe_end);
     add_span("incremental_requery", -1, qs.t_probe_end, t_end);
   } else {
+    const int64_t t_seed_end =
+        qs.t_seed_end >= 0 ? qs.t_seed_end : qs.t_probe_end;
     const int64_t t_prepare_end =
-        qs.t_prepare_end >= 0 ? qs.t_prepare_end : qs.t_probe_end;
+        qs.t_prepare_end >= 0 ? qs.t_prepare_end : t_seed_end;
     const int64_t t_branch_end =
         qs.t_branch_end >= 0 ? qs.t_branch_end : t_prepare_end;
     add_span("result_cache_probe", -1, qs.t_admit, qs.t_probe_end);
-    add_span("prepare", -1, qs.t_probe_end, t_prepare_end);
+    // On a plan hit the plan probe precedes the seed and is charged to it.
+    add_span("seed", -1, qs.t_probe_end, t_seed_end);
+    add_span("prepare", -1, t_seed_end, t_prepare_end);
     const int32_t branch_span = static_cast<int32_t>(trace->spans.size());
     add_span("branch", -1, t_prepare_end, t_branch_end);
     for (size_t i = 0; i < qs.comp_start_micros.size(); ++i) {
@@ -525,7 +559,7 @@ QueryResponse QueryExecutor::Run(const QueryRequest& request) {
 
 size_t QueryExecutor::StartBranch(QueryState& qs) {
   const BranchStage& stage = qs.stage.emplace(
-      *qs.request.graph->graph, *qs.prepared, qs.effective, qs.deadline);
+      *qs.prepared, qs.effective, qs.deadline, std::move(qs.seed));
   const size_t n = stage.num_tasks();
   qs.search_timer.Restart();
   qs.comp_start_micros.assign(n, 0);

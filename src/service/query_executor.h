@@ -57,9 +57,9 @@ struct QueryRequest {
   double deadline_seconds = 0.0;
   /// Skip the result cache (cold benchmarking, freshness checks).
   bool bypass_cache = false;
-  /// Skip the prepared-plan cache as well: the query reduces from scratch
-  /// and does not publish the plan. bypass_cache + bypass_prepared_cache
-  /// is a fully cold query.
+  /// Skip the prepared-plan cache as well: the query seeds and reduces from
+  /// scratch (at the lifted k, like any plan miss) and does not publish the
+  /// plan. bypass_cache + bypass_prepared_cache is a fully cold query.
   bool bypass_prepared_cache = false;
   /// Attach an EXPLAIN plan to the response: reduction stage stats,
   /// component selection and resolved engines, the full per-component prune
@@ -149,7 +149,9 @@ struct ExecutorMetrics {
 /// concurrent, memoized query service. Requests flow
 ///
 ///   Submit -> [bounded queue] -> worker: result-cache probe
-///                                  -> prepared-plan probe/build
+///                                  -> prepared-plan probe at k; on a
+///                                     miss: seed, probe/build at the
+///                                     lifted k (SeedAndLift)
 ///                                  -> expand into per-component tasks
 ///                                  -> [component queue] -> workers branch
 ///                                  -> last task aggregates, fills caches
@@ -228,8 +230,10 @@ class QueryExecutor : public ParallelHelpers {
   void WorkerLoop();
   /// Shared pre-Branch pipeline: submit-anchored deadline check,
   /// validation, result-cache probe, warm-hint handling, deadline mapping,
-  /// prepared-plan probe/build. Returns true when the response is already
-  /// complete (expired / hit / incremental / invalid).
+  /// prepared-plan probe at the request's k (seeded on the plan when it
+  /// hits), else seed on the input graph and probe/build the plan at the
+  /// lifted k. Returns true when the response is already complete
+  /// (expired / hit / incremental / invalid).
   bool PreSearch(QueryState& qs);
   /// Records the run histogram and, when the query is slow enough for the
   /// slowlog, assembles its span timeline from the stage timestamps
@@ -246,8 +250,9 @@ class QueryExecutor : public ParallelHelpers {
   void BuildExplain(QueryState& qs);
   /// Bumps the stopped_* counter matching an early-stopped search's reason.
   void CountStop(const QueryState& qs, const SearchStats& stats);
-  /// Builds the query's BranchStage (seed + component selection), registers
-  /// live progress and journals the start. Returns the task count.
+  /// Builds the query's BranchStage from the seed PreSearch found (component
+  /// selection), registers live progress and journals the start. Returns
+  /// the task count.
   size_t StartBranch(QueryState& qs);
   /// Runs one stage task with its trace stamp and journal events; true for
   /// the call that finished the stage's last task.

@@ -95,11 +95,23 @@ TEST(ExplainTest, PreparedHitPlanCarriesEverySection) {
       << json;
 }
 
+// Two disjoint 6-cliques, each with three vertices of either attribute.
+AttributedGraph TwinCliqueGraph() {
+  std::vector<std::pair<int, int>> edges;
+  for (int base : {0, 6}) {
+    for (int i = base; i < base + 6; ++i)
+      for (int j = i + 1; j < base + 6; ++j) edges.push_back({i, j});
+  }
+  return MakeGraph("ababab" "ababab", edges);
+}
+
 TEST(ExplainTest, UnsearchedComponentsCarryNoStats) {
-  // HeurRFC seeds the 6-clique, so the 4-vertex component cannot beat the
-  // seed and is never searched.
+  // HeurRFC seeds one 6-clique. A larger clique needs at least
+  // ceil((6 + 1 - 2) / 2) = 3 of each attribute, so the plan is prepared at
+  // k = 3; both cliques survive it, and neither can beat the seed, so
+  // neither is searched.
   GraphRegistry registry;
-  auto graph = RegisterGraph(registry, "two", TwoComponentGraph());
+  auto graph = RegisterGraph(registry, "twins", TwinCliqueGraph());
   QueryExecutor executor(ExecutorOptions{1, 4}, nullptr);
 
   QueryRequest request;
@@ -111,12 +123,74 @@ TEST(ExplainTest, UnsearchedComponentsCarryNoStats) {
   ASSERT_EQ(response.result->clique.size(), 6u);
   const std::string& json = response.plan_json;
   EXPECT_NE(json.find("\"seed_size\":6}"), std::string::npos) << json;
-  EXPECT_NE(json.find("{\"index\":1,\"vertices\":4,\"edges\":6,"
+  EXPECT_NE(json.find("{\"index\":1,\"vertices\":6,\"edges\":15,"
                       "\"searched\":false}"),
             std::string::npos)
       << json;
   // Neither component can beat the seed, so no row names an engine.
   EXPECT_EQ(json.find("\"engine\""), std::string::npos) << json;
+}
+
+// The seed object names the plan's k, where the seed came from and what
+// seeding cost: on a plan miss the k is lifted past the request's, on a
+// plan hit it is the request's own.
+TEST(ExplainTest, SeedReportsLiftedKSourceAndTime) {
+  GraphRegistry registry;
+  auto graph = RegisterGraph(registry, "twins", TwinCliqueGraph());
+  PreparedGraphCache prepared_cache(4);
+  QueryExecutor executor(ExecutorOptions{1, 4}, nullptr, &prepared_cache);
+
+  QueryRequest request;
+  request.graph = graph;
+  request.options = FullOptions(1, 2, ExtraBound::kColorfulPath);
+  request.explain = true;
+  QueryResponse miss = executor.Run(request);
+  ASSERT_TRUE(miss.status.ok());
+  ASSERT_FALSE(miss.prepared_hit);
+  EXPECT_NE(miss.plan_json.find("\"lifted_k\":3,\"seed_source\":"
+                                "\"heuristic\",\"seed_micros\":"),
+            std::string::npos)
+      << miss.plan_json;
+  const std::vector<long long> heuristic =
+      ExtractAll(miss.plan_json, "heuristic_micros");
+  const std::vector<long long> seed = ExtractAll(miss.plan_json, "seed_micros");
+  ASSERT_EQ(heuristic.size(), 1u);
+  ASSERT_EQ(seed.size(), 1u);
+  EXPECT_GE(seed[0], heuristic[0]);
+
+  // A warm start larger than any heuristic seed lifts the baseline preset,
+  // which runs no heuristic; the lifted plan is the one just published.
+  request.options = BaselineOptions(1, 2);
+  request.options.warm_start = {6, 7, 8, 9, 10, 11};
+  QueryResponse warm = executor.Run(request);
+  ASSERT_TRUE(warm.status.ok());
+  EXPECT_TRUE(warm.prepared_hit);
+  EXPECT_NE(warm.plan_json.find("\"lifted_k\":3,\"seed_source\":"
+                                "\"warm_start\",\"seed_micros\":"),
+            std::string::npos)
+      << warm.plan_json;
+  EXPECT_EQ(ExtractAll(warm.plan_json, "seed_micros").size(), 1u);
+
+  // Without a seed the plan is prepared at the request's k; the next query
+  // at that k hits it and seeds on the plan without lifting.
+  request.options = BaselineOptions(1, 2);
+  QueryResponse unseeded = executor.Run(request);
+  ASSERT_TRUE(unseeded.status.ok());
+  ASSERT_FALSE(unseeded.prepared_hit);
+  EXPECT_NE(unseeded.plan_json.find("\"lifted_k\":1,\"seed_source\":"
+                                    "\"none\",\"seed_micros\":"),
+            std::string::npos)
+      << unseeded.plan_json;
+  request.options = FullOptions(1, 2, ExtraBound::kColorfulPath);
+  QueryResponse hit = executor.Run(request);
+  ASSERT_TRUE(hit.status.ok());
+  ASSERT_TRUE(hit.prepared_hit);
+  EXPECT_NE(hit.plan_json.find("\"lifted_k\":1,\"seed_source\":"
+                               "\"heuristic\",\"seed_micros\":"),
+            std::string::npos)
+      << hit.plan_json;
+  EXPECT_EQ(ExtractAll(hit.plan_json, "seed_micros").size(), 1u);
+  EXPECT_EQ(hit.result->clique.size(), 6u);
 }
 
 TEST(ExplainTest, ComponentSkippedAfterASiblingAbortReadsAborted) {

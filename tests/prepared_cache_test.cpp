@@ -5,13 +5,16 @@
 #include <atomic>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/max_fair_clique.h"
 #include "core/prepared_graph.h"
 #include "core/verifier.h"
+#include "datasets/datasets.h"
 #include "dynamic/dynamic_graph.h"
 #include "graph/fingerprint.h"
 #include "service/graph_registry.h"
@@ -174,6 +177,68 @@ TEST(PreparedCacheExecutorTest, DeltaSweepReducesOnce) {
   EXPECT_EQ(m.prepared_builds, 1u);
   EXPECT_EQ(m.prepared_hits, 3u);
   EXPECT_EQ(prepared.Stats().entries, 1u);
+}
+
+// pokec-s at k = 2, delta = 1: HeurRFC seeds 21 of the optimal 23, so a
+// plan miss prepares at k' = 11.
+TEST(PreparedCacheExecutorTest, PlanMissPublishesOnePlanAtTheLiftedK) {
+  GraphRegistry registry;
+  auto graph = RegisterGraph(registry, "g", LoadDataset("pokec-s", 1));
+  PreparedGraphCache prepared(8);
+  QueryExecutor executor(ExecutorOptions{1, 8}, nullptr, &prepared);
+
+  QueryRequest request;
+  request.graph = graph;
+  request.options = FullOptions(2, 1, ExtraBound::kColorfulPath);
+  const int plan_k = SeedAndLift(*graph->graph, request.options).plan_k;
+  ASSERT_EQ(plan_k, 11);
+  QueryResponse response = executor.Run(request);
+  ASSERT_TRUE(response.status.ok());
+  EXPECT_FALSE(response.prepared_hit);
+  EXPECT_EQ(executor.metrics().prepared_builds, 1u);
+  EXPECT_EQ(prepared.Stats().entries, 1u);
+  const ReductionOptions& red = request.options.reductions;
+  std::shared_ptr<const PreparedGraph> plan =
+      prepared.Get(PreparedGraphCache::MakeKey(graph->fingerprint, plan_k, red));
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->k, plan_k);
+  EXPECT_EQ(prepared.Get(PreparedGraphCache::MakeKey(graph->fingerprint, 2,
+                                                     red)),
+            nullptr);
+  auto at_k = PrepareGraph(*graph->graph, 2, red);
+  EXPECT_EQ(response.result->clique.size(),
+            SearchPreparedGraph(*graph->graph, *at_k, request.options)
+                .clique.size());
+  EXPECT_TRUE(VerifyFairClique(*graph->graph, response.result->clique.vertices,
+                               request.options.params)
+                  .ok());
+}
+
+TEST(PreparedCacheExecutorTest, PlanHitAtTheRequestKBuildsNothing) {
+  GraphRegistry registry;
+  auto graph = RegisterGraph(registry, "g", LoadDataset("pokec-s", 1));
+  PreparedGraphCache prepared(8);
+  QueryExecutor executor(ExecutorOptions{1, 8}, nullptr, &prepared);
+
+  // The baseline preset has no seed, so it publishes the plan at k = 2.
+  QueryRequest request;
+  request.graph = graph;
+  request.options = BaselineOptions(2, 1);
+  ASSERT_TRUE(executor.Run(request).status.ok());
+  ASSERT_EQ(executor.metrics().prepared_builds, 1u);
+
+  // The full preset would lift on a miss, but the plan at its own k serves.
+  request.options = FullOptions(2, 1, ExtraBound::kColorfulPath);
+  request.explain = true;
+  QueryResponse response = executor.Run(request);
+  ASSERT_TRUE(response.status.ok());
+  EXPECT_TRUE(response.prepared_hit);
+  EXPECT_EQ(response.result->stats.reduce_micros, 0);
+  EXPECT_EQ(executor.metrics().prepared_builds, 1u);
+  EXPECT_EQ(prepared.Stats().entries, 1u);
+  EXPECT_NE(response.plan_json.find("\"lifted_k\":2,"), std::string::npos)
+      << response.plan_json;
+  EXPECT_EQ(response.result->clique.size(), 23u);
 }
 
 TEST(PreparedCacheExecutorTest, BypassPreparedSkipsProbeAndPublish) {
@@ -469,10 +534,18 @@ TEST(ComponentSchedulingStressTest, ConcurrentMultiQueryAnswersExact) {
   // shared pool, and plans were reused across the delta variations.
   EXPECT_GT(m.component_tasks, 0u);
   EXPECT_GT(m.prepared_hits, 0u);
-  // 2 fingerprints x 2 distinct k -> at most 4 plans ever built per
-  // (fingerprint, k); duplicate concurrent builds may add a few more
-  // build events, but the cache holds at most 4 entries.
-  EXPECT_LE(prepared.Stats().entries, 4u);
+  // Plans are keyed by (fingerprint, plan k). A query's plan k is its own
+  // k on a plan hit, or its lifted k on a miss (the full preset lifts);
+  // duplicate concurrent builds may add a few more build events, but the
+  // cache holds at most one entry per possible key.
+  std::set<std::pair<size_t, int>> plan_keys;
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    for (const SearchOptions& options : mix) {
+      plan_keys.insert({gi, options.params.k});
+      plan_keys.insert({gi, SeedAndLift(*graphs[gi]->graph, options).plan_k});
+    }
+  }
+  EXPECT_LE(prepared.Stats().entries, plan_keys.size());
 }
 
 // Shutdown with queries still queued and expanded: every future must be

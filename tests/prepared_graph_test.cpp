@@ -6,6 +6,7 @@
 #include <atomic>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/enumeration.h"
@@ -220,6 +221,114 @@ TEST(PreparedGraphTest, SeedIncumbentVerifiesWarmStart) {
   EXPECT_EQ(r.clique.size(), 4u);  // the search still proves optimality
 }
 
+// ---------------------------------------------------- seed, then lift k
+
+// A balanced 6-clique (vertices 0-5) with a pendant path 5-6-7-8.
+AttributedGraph CliqueWithTail() {
+  std::vector<std::pair<int, int>> edges = {{5, 6}, {6, 7}, {7, 8}};
+  for (int i = 0; i < 6; ++i)
+    for (int j = i + 1; j < 6; ++j) edges.push_back({i, j});
+  return MakeGraph("ababab" "aba", edges);
+}
+
+TEST(LiftedSeedTest, LiftedKIsTheFewestOfEachAttributeThatCanBeatTheSeed) {
+  EXPECT_EQ(LiftedK({1, 0}, 6), 4);  // 7 vertices, |a - b| = 0: 4 and 4
+  EXPECT_EQ(LiftedK({1, 2}, 6), 3);  // 7 vertices, |a - b| <= 2: 3 and 4
+  EXPECT_EQ(LiftedK({2, 3}, 6), 2);  // 3 and 4 fits, but k is 2 already
+  EXPECT_EQ(LiftedK({3, 1}, 0), 3);  // no seed: k itself
+  EXPECT_EQ(LiftedK({1, 9}, 4), 1);  // delta past the seed: k itself
+}
+
+TEST(LiftedSeedTest, OptimalSeedLeavesAnEmptyPlan) {
+  AttributedGraph g = CliqueWithTail();
+  SearchOptions options = FullOptions(1, 0, ExtraBound::kColorfulPath);
+  LiftedSeed lifted = SeedAndLift(g, options);
+  ASSERT_EQ(lifted.seed.clique.size(), 6u);
+  EXPECT_FALSE(lifted.seed.from_warm_start);
+  ASSERT_EQ(lifted.plan_k, 4);
+  // No 7-vertex clique with four of each attribute exists, so the lifted
+  // reduction removes everything.
+  auto prepared = PrepareGraph(g, lifted.plan_k, options.reductions);
+  EXPECT_EQ(prepared->reduced.num_vertices(), 0u);
+  EXPECT_TRUE(prepared->components.empty());
+
+  SearchResult r = FindMaximumFairClique(g, options);
+  std::vector<VertexId> seed = lifted.seed.clique.vertices;
+  std::sort(seed.begin(), seed.end());
+  EXPECT_EQ(r.clique.vertices, seed);
+  EXPECT_EQ(r.stats.nodes, 0u);
+  EXPECT_TRUE(r.stats.completed);
+}
+
+TEST(LiftedSeedTest, NonOptimalSeedStillFindsTheOptimum) {
+  // HeurRFC finds 43 here and the optimum is 45, so the plan at the lifted
+  // k must keep the optimum and the Branch stage must find it.
+  AttributedGraph g = LoadDataset("themarker-s", 16);
+  SearchOptions options = FullOptions(2, 1, ExtraBound::kColorfulPath);
+  LiftedSeed lifted = SeedAndLift(g, options);
+  EXPECT_EQ(lifted.seed.clique.size(), 43u);
+  EXPECT_EQ(lifted.plan_k, 22);
+
+  SearchResult r = FindMaximumFairClique(g, options);
+  EXPECT_TRUE(r.stats.completed);
+  EXPECT_GT(r.stats.nodes, 0u);
+  EXPECT_EQ(r.stats.heuristic_size, 43);
+  auto at_k = PrepareGraph(g, 2, options.reductions);
+  SearchResult unlifted = SearchPreparedGraph(g, *at_k, options);
+  EXPECT_EQ(unlifted.clique.size(), 45u);
+  EXPECT_EQ(r.clique.size(), unlifted.clique.size());
+  EXPECT_TRUE(VerifyFairClique(g, r.clique.vertices, options.params).ok());
+}
+
+TEST(LiftedSeedTest, DeltaTooLargeToLiftKeepsK) {
+  // delta = 3 >= |seed| + 1 - 2k = 3: a 7-clique with two of one attribute
+  // and five of the other would beat the seed, so k stays 2.
+  AttributedGraph g = CliqueWithTail();
+  SearchOptions options = FullOptions(2, 3, ExtraBound::kColorfulPath);
+  LiftedSeed lifted = SeedAndLift(g, options);
+  ASSERT_EQ(lifted.seed.clique.size(), 6u);
+  EXPECT_EQ(lifted.plan_k, 2);
+  SearchResult r = FindMaximumFairClique(g, options);
+  EXPECT_EQ(r.clique.size(), 6u);
+  EXPECT_EQ(r.stats.reduction_stages.size(),
+            PrepareGraph(g, 2, options.reductions)->stages.size());
+}
+
+TEST(LiftedSeedTest, EmptySeedMatchesThePlanAtKNodeForNode) {
+  // The baseline preset runs no heuristic and has no warm start: the seed
+  // is empty, k is not lifted, and the search is the one on the plan at k.
+  AttributedGraph g = LoadDataset("dblp-s", 0.25);
+  for (int delta : {0, 2}) {
+    SearchOptions options = BaselineOptions(3, delta);
+    LiftedSeed lifted = SeedAndLift(g, options);
+    EXPECT_TRUE(lifted.seed.clique.empty());
+    EXPECT_EQ(lifted.plan_k, 3);
+    SearchResult mono = FindMaximumFairClique(g, options);
+    auto prepared = PrepareGraph(g, 3, options.reductions);
+    SearchResult staged = SearchPreparedGraph(g, *prepared, options);
+    EXPECT_EQ(mono.clique.vertices, staged.clique.vertices);
+    EXPECT_EQ(mono.stats.nodes, staged.stats.nodes);
+    EXPECT_EQ(mono.stats.size_prunes, staged.stats.size_prunes);
+    EXPECT_EQ(mono.stats.attr_prunes, staged.stats.attr_prunes);
+    EXPECT_EQ(mono.stats.cap_removals, staged.stats.cap_removals);
+    EXPECT_EQ(mono.stats.bound_prunes, staged.stats.bound_prunes);
+  }
+}
+
+TEST(LiftedSeedTest, LargerWarmStartSeedsAndLifts) {
+  AttributedGraph g = CliqueWithTail();
+  SearchOptions options = BaselineOptions(1, 0);
+  options.warm_start = {0, 1, 2, 3, 4, 5};
+  LiftedSeed lifted = SeedAndLift(g, options);
+  EXPECT_TRUE(lifted.seed.from_warm_start);
+  EXPECT_EQ(lifted.seed.clique.size(), 6u);
+  EXPECT_EQ(lifted.plan_k, 4);
+  options.warm_start = {0, 1, 2};  // two a's and one b: not fair at delta 0
+  lifted = SeedAndLift(g, options);
+  EXPECT_TRUE(lifted.seed.clique.empty());
+  EXPECT_EQ(lifted.plan_k, 1);
+}
+
 // ----------------------------------------------- deterministic aggregation
 
 // Satellite: multi-component stats must aggregate by summation in component
@@ -251,7 +360,8 @@ TEST(PreparedGraphTest, StatsAggregateDeterministically) {
 
   // The same stage's tasks on concurrent threads: the answer size holds and
   // exactly one task reports finishing the stage.
-  BranchStage stage(g, *prepared, seq, Deadline());
+  BranchStage stage(*prepared, seq, Deadline(),
+                    SeedIncumbent(g, *prepared, seq));
   ASSERT_EQ(stage.num_tasks(), 3u);
   std::atomic<int> finishers{0};
   std::vector<std::thread> threads;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <ostream>
 
 #include "core/enumeration.h"
@@ -88,10 +89,11 @@ TEST(EngineSelectionTest, VectorEngineHandlesLargeSparseGraphs) {
   EXPECT_EQ(r.clique.size(), oracle.size());
 }
 
-// Pinned search counters. The values were recorded from the two separate
-// per-engine kernels that preceded the single templated Branch; every
-// prune rule, the node/deadline cadence and the sequential component order
-// must reproduce them exactly, on both candidate-set policies.
+// Pinned search counters and answers. Every prune rule, the node/deadline
+// cadence and the sequential component order must reproduce them exactly,
+// on both candidate-set policies. A deliberate kernel change may move the
+// counter columns (with the diff recorded in CHANGES.md); the answer and
+// completed columns never move.
 AttributedGraph GoldenGraph(int id) {
   switch (id) {
     case 0: return RandomAttributedGraph(40, 0.35, 101);
@@ -133,18 +135,18 @@ struct GoldenCounts {
 };
 
 constexpr GoldenCounts kGolden[] = {
-    {0, 0, 215, 195, 2, 11, 0, 5, true},
-    {0, 1, 148, 131, 7, 17, 0, 4, true},
+    {0, 0, 180, 144, 23, 0, 0, 5, true},
+    {0, 1, 99, 55, 36, 0, 0, 4, true},
     {0, 2, 107, 97, 0, 0, 0, 5, true},
     {0, 3, 0, 0, 0, 0, 0, 0, true},
-    {0, 4, 47, 19, 0, 0, 21, 5, true},
-    {0, 5, 47, 19, 0, 0, 21, 5, true},
+    {0, 4, 47, 19, 8, 0, 13, 5, true},
+    {0, 5, 47, 19, 8, 0, 13, 5, true},
     {0, 6, 47, 19, 0, 0, 21, 5, true},
-    {0, 7, 33, 13, 0, 0, 20, 5, true},
+    {0, 7, 33, 13, 8, 0, 12, 5, true},
     {0, 10, 51, 39, 0, 0, 0, 4, false},
-    {0, 11, 218, 181, 17, 0, 0, 5, true},
-    {1, 0, 283, 249, 0, 8, 0, 5, true},
-    {1, 1, 75, 66, 2, 3, 0, 4, true},
+    {0, 11, 196, 147, 33, 0, 0, 5, true},
+    {1, 0, 250, 202, 21, 0, 0, 5, true},
+    {1, 1, 58, 38, 15, 0, 0, 4, true},
     {1, 2, 73, 62, 2, 0, 0, 5, true},
     {1, 3, 0, 0, 0, 0, 0, 0, true},
     {1, 4, 47, 28, 2, 0, 13, 5, true},
@@ -152,18 +154,18 @@ constexpr GoldenCounts kGolden[] = {
     {1, 6, 47, 28, 2, 0, 13, 5, true},
     {1, 7, 44, 27, 2, 0, 13, 5, true},
     {1, 10, 51, 41, 0, 0, 0, 4, false},
-    {1, 11, 327, 258, 22, 1, 0, 5, true},
-    {2, 0, 4186, 4090, 15, 762, 0, 7, true},
-    {2, 1, 5737, 5326, 119, 2212, 0, 6, true},
-    {2, 2, 3741, 3644, 44, 80, 0, 8, true},
-    {2, 3, 3737, 3446, 234, 9, 0, 7, true},
-    {2, 4, 3905, 3741, 59, 450, 32, 7, true},
-    {2, 5, 3605, 3444, 50, 422, 38, 7, true},
-    {2, 6, 3029, 2900, 40, 80, 36, 8, true},
-    {2, 7, 3903, 3742, 59, 450, 32, 7, true},
-    {2, 10, 51, 33, 2, 1, 0, 6, false},
-    {2, 11, 4174, 3982, 111, 297, 0, 7, true},
-    {3, 0, 588, 344, 1, 7, 0, 4, true},
+    {1, 11, 292, 211, 36, 0, 0, 5, true},
+    {2, 0, 2937, 2318, 581, 7, 0, 7, true},
+    {2, 1, 4024, 2480, 1449, 8, 0, 6, true},
+    {2, 2, 3309, 2968, 298, 2, 0, 8, true},
+    {2, 3, 2970, 2376, 568, 0, 0, 7, true},
+    {2, 4, 2921, 2324, 535, 3, 28, 7, true},
+    {2, 5, 2712, 2165, 479, 3, 34, 7, true},
+    {2, 6, 2694, 2377, 238, 2, 36, 8, true},
+    {2, 7, 2915, 2322, 534, 0, 28, 7, true},
+    {2, 10, 51, 31, 4, 0, 0, 6, false},
+    {2, 11, 2937, 2318, 581, 7, 0, 7, true},
+    {3, 0, 517, 273, 44, 0, 0, 4, true},
     {3, 1, 5, 3, 0, 0, 0, 4, true},
     {3, 2, 5, 3, 0, 0, 0, 4, true},
     {3, 3, 0, 0, 0, 0, 0, 0, true},
@@ -173,36 +175,36 @@ constexpr GoldenCounts kGolden[] = {
     {3, 7, 0, 0, 0, 0, 0, 4, true},
     {3, 10, 51, 24, 0, 0, 0, 3, false},
     {3, 11, 655, 344, 20, 0, 0, 4, true},
-    {4, 0, 3409, 3029, 10, 316, 0, 7, true},
-    {4, 1, 2956, 2709, 44, 319, 0, 6, true},
-    {4, 2, 2375, 2241, 16, 2, 0, 7, true},
+    {4, 0, 2935, 2307, 359, 0, 0, 7, true},
+    {4, 1, 2318, 1721, 489, 0, 0, 6, true},
+    {4, 2, 2293, 2117, 69, 0, 0, 7, true},
     {4, 3, 65, 61, 0, 0, 0, 7, true},
-    {4, 4, 873, 707, 9, 5, 96, 7, true},
-    {4, 5, 762, 599, 8, 5, 98, 7, true},
-    {4, 6, 867, 704, 6, 2, 96, 7, true},
-    {4, 7, 608, 477, 2, 3, 101, 7, true},
+    {4, 4, 777, 564, 73, 0, 89, 7, true},
+    {4, 5, 688, 486, 61, 0, 91, 7, true},
+    {4, 6, 842, 668, 20, 0, 96, 7, true},
+    {4, 7, 530, 360, 57, 0, 94, 7, true},
     {4, 10, 51, 39, 0, 0, 0, 5, false},
-    {4, 11, 2540, 2379, 44, 17, 0, 7, true},
-    {5, 0, 3028, 2956, 0, 36, 0, 22, true},
-    {5, 1, 2354, 2335, 0, 87, 0, 22, true},
-    {5, 2, 2175, 2158, 0, 2, 0, 22, true},
-    {5, 3, 1882, 1859, 3, 107, 0, 22, true},
-    {5, 4, 525, 241, 0, 10, 262, 22, true},
-    {5, 5, 502, 216, 0, 7, 264, 22, true},
-    {5, 6, 488, 212, 0, 2, 260, 22, true},
-    {5, 7, 411, 194, 0, 0, 211, 22, true},
+    {4, 11, 2213, 1891, 235, 0, 0, 7, true},
+    {5, 0, 2870, 2736, 67, 4, 0, 22, true},
+    {5, 1, 1895, 1752, 124, 5, 0, 22, true},
+    {5, 2, 2049, 1992, 40, 0, 0, 22, true},
+    {5, 3, 1618, 1547, 51, 1, 0, 22, true},
+    {5, 4, 508, 216, 45, 4, 225, 22, true},
+    {5, 5, 494, 203, 42, 4, 227, 22, true},
+    {5, 6, 482, 203, 35, 0, 228, 22, true},
+    {5, 7, 411, 194, 60, 0, 151, 22, true},
     {5, 10, 51, 29, 0, 0, 0, 5, false},
-    {5, 11, 2913, 2818, 7, 28, 0, 22, true},
-    {6, 0, 8909, 8766, 1, 2175, 0, 22, true},
-    {6, 1, 10644, 10517, 49, 3851, 0, 22, true},
-    {6, 2, 8659, 8539, 38, 1361, 0, 22, true},
-    {6, 3, 9193, 8994, 144, 2967, 0, 22, true},
-    {6, 4, 1489, 586, 1, 103, 878, 22, true},
-    {6, 5, 1329, 419, 1, 1, 885, 22, true},
-    {6, 6, 1660, 777, 10, 142, 845, 22, true},
+    {5, 11, 2764, 2621, 57, 4, 0, 22, true},
+    {6, 0, 6475, 6130, 222, 0, 0, 22, true},
+    {6, 1, 6292, 5832, 392, 2, 0, 22, true},
+    {6, 2, 6829, 6602, 146, 4, 0, 22, true},
+    {6, 3, 5257, 5006, 201, 2, 0, 22, true},
+    {6, 4, 1377, 458, 176, 0, 719, 22, true},
+    {6, 5, 1329, 418, 161, 0, 726, 22, true},
+    {6, 6, 1381, 484, 140, 4, 729, 22, true},
     {6, 7, 1, 0, 0, 0, 1, 22, true},
-    {6, 10, 51, 40, 1, 7, 0, 6, false},
-    {6, 11, 9948, 9705, 34, 1897, 0, 22, true},
+    {6, 10, 51, 35, 1, 0, 0, 6, false},
+    {6, 11, 7733, 7335, 216, 1, 0, 22, true},
 };
 
 TEST(BranchKernelGoldenTest, CountersMatchPreRefactorKernels) {
@@ -216,7 +218,12 @@ TEST(BranchKernelGoldenTest, CountersMatchPreRefactorKernels) {
     for (SearchEngine engine : {SearchEngine::kVector, SearchEngine::kBitset}) {
       SearchOptions options = GoldenOptions(want.options);
       options.engine = engine;
-      SearchResult r = FindMaximumFairClique(g, options);
+      // The plan is prepared at the request's k, so the counters pin the
+      // kernel alone, independent of how FindMaximumFairClique picks the
+      // plan's k.
+      std::shared_ptr<const PreparedGraph> prepared =
+          PrepareGraph(g, options.params.k, options.reductions);
+      SearchResult r = SearchPreparedGraph(g, *prepared, options);
       SCOPED_TRACE(testing::Message()
                    << "graph " << want.graph << " options " << want.options
                    << " engine " << SearchEngineName(engine));
@@ -228,6 +235,28 @@ TEST(BranchKernelGoldenTest, CountersMatchPreRefactorKernels) {
       EXPECT_EQ(r.clique.size(), want.answer);
       EXPECT_EQ(r.stats.completed, want.completed);
     }
+  }
+}
+
+// The attribute prune runs at the incumbent-lifted k, so a search that
+// starts without a seed (the bounded preset runs no heuristic) tightens as
+// soon as it finds a clique. Before that lift these searches took 364,817
+// and 223,641 nodes.
+TEST(IncumbentLiftTest, WeakIncumbentPrunesAtTheLiftedK) {
+  AttributedGraph g = LoadDataset("themarker-s", 4);
+  std::shared_ptr<const PreparedGraph> prepared = PrepareGraph(g, 2, {});
+  struct Case {
+    int delta;
+    uint64_t unlifted_nodes;
+    size_t answer;
+  };
+  for (const Case& c : {Case{1, 364817, 33}, Case{2, 223641, 34}}) {
+    SearchResult r = SearchPreparedGraph(
+        g, *prepared, BoundedOptions(2, c.delta, ExtraBound::kColorfulPath));
+    SCOPED_TRACE(testing::Message() << "delta " << c.delta);
+    EXPECT_EQ(r.clique.size(), c.answer);
+    EXPECT_TRUE(r.stats.completed);
+    EXPECT_LE(r.stats.nodes * 10, c.unlifted_nodes) << r.stats.nodes;
   }
 }
 

@@ -800,11 +800,24 @@ TEST(TelemetryTraceTest, BypassPreparedCachePathCarriesPrepareSpan) {
   ASSERT_NE(trace, nullptr);
   bool saw_prepare = false;
   bool saw_branch = false;
+  // The seed span sits between the result-cache probe and the prepare,
+  // tiling the interval with no gap.
+  const obs::TraceSpan* probe = nullptr;
+  const obs::TraceSpan* seed = nullptr;
   for (const obs::TraceSpan& span : trace->spans) {
     if (std::string(span.name) == "prepare") {
       saw_prepare = true;
       EXPECT_GT(span.duration_micros, 0)
           << "bypassed prepared cache means a real reduction ran";
+      ASSERT_NE(seed, nullptr) << "seed span must precede prepare";
+      EXPECT_EQ(seed->start_micros + seed->duration_micros, span.start_micros);
+    }
+    if (std::string(span.name) == "result_cache_probe") probe = &span;
+    if (std::string(span.name) == "seed") {
+      seed = &span;
+      ASSERT_NE(probe, nullptr) << "seed span must follow the probe";
+      EXPECT_EQ(probe->start_micros + probe->duration_micros,
+                span.start_micros);
     }
     if (std::string(span.name) == "branch") saw_branch = true;
   }

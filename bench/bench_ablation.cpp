@@ -4,8 +4,8 @@
 //       +EnColorfulSup (the full pipeline);
 //   (b) branch kernel: sorted-vector vs bitset candidate sets.
 // The branch order (CalColorOD), the colouring order (degree-descending),
-// the bound depth (2) and HeurRFC's single greedy start are fixed, so they
-// have no section. Run at each
+// the bound placement (once per component, at its root) and HeurRFC's
+// single greedy start are fixed, so they have no section. Run at each
 // dataset's default (k, delta); FAIRCLIQUE_BENCH_SCALE shrinks the graphs.
 
 #include <cstdio>

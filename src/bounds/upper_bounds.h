@@ -26,8 +26,8 @@ std::string ExtraBoundName(ExtraBound extra);
 
 /// Bound configuration for the branch-and-bound search.
 struct UpperBoundConfig {
-  /// Apply the ubAD group = min(ubs, uba, ubc, ubac, ubeac) at the top level
-  /// of every search branch.
+  /// Apply the ubAD group = min(ubs, uba, ubc, ubac, ubeac) at the root of
+  /// every connected component the search branches.
   bool use_advanced = true;
   ExtraBound extra = ExtraBound::kNone;
 };

@@ -79,7 +79,8 @@ CliqueResult GreedyGrow(const AttributedGraph& g,
 
 // Shared by both passes: one greedy run from the best-scoring vertex, ties
 // to the lower id (max_element keeps the first maximum). Returns the grown
-// clique when it satisfies fairness, else an empty clique.
+// clique trimmed to its best fair subset (every subset of a clique is a
+// clique), or an empty clique when it has fewer than k of an attribute.
 CliqueResult RunGreedy(const AttributedGraph& g,
                        const std::vector<int64_t>& score,
                        const FairnessParams& params) {
@@ -87,7 +88,19 @@ CliqueResult RunGreedy(const AttributedGraph& g,
   const auto start = static_cast<VertexId>(
       std::max_element(score.begin(), score.end()) - score.begin());
   CliqueResult grown = GreedyGrow(g, score, start, params);
-  if (!params.Satisfied(grown.attr_counts)) return {};
+  const int64_t best = params.BestFairSubsetSize(grown.attr_counts);
+  if (best == 0) return {};
+  // An unfair clique has too many of its majority attribute: drop the
+  // majority vertices the greedy pass added last.
+  const Attribute major = grown.attr_counts.a() > grown.attr_counts.b()
+                              ? Attribute::kA
+                              : Attribute::kB;
+  for (size_t i = grown.size(); static_cast<int64_t>(grown.size()) > best;) {
+    if (g.attribute(grown.vertices[--i]) == major) {
+      grown.vertices.erase(grown.vertices.begin() + static_cast<ptrdiff_t>(i));
+      grown.attr_counts[major]--;
+    }
+  }
   return grown;
 }
 

@@ -9,8 +9,8 @@
 namespace fairclique {
 
 /// Result of a heuristic run: the fair clique found (empty when the greedy
-/// pass ends on an unfair clique), plus the color-count upper bound computed
-/// by HeurRFC (Algorithm 6 lines 9-10; 0 when not computed).
+/// pass ends with fewer than k of an attribute), plus the color-count upper
+/// bound computed by HeurRFC (Algorithm 6 lines 9-10; 0 when not computed).
 struct HeuristicResult {
   CliqueResult clique;
   int64_t color_upper_bound = 0;
@@ -20,7 +20,9 @@ struct HeuristicResult {
 /// vertex (ties to the lower id) by repeatedly adding the highest-degree
 /// candidate of the alternating attribute, with the paper's
 /// amax cap (lines 9-13) bounding the majority side at (minority + delta).
-/// Returns an empty clique when the greedy pass fails fairness. O(V + E).
+/// An unfair grown clique is trimmed to its best fair subset by dropping
+/// the majority vertices added last; the result is empty when no fair
+/// subset exists (fewer than k of an attribute). O(V + E).
 CliqueResult DegHeur(const AttributedGraph& g, const FairnessParams& params);
 
 /// ColorfulDegHeur: DegHeur with selection key min(D_a(v), D_b(v)) — the

@@ -29,8 +29,9 @@ enum class SearchEngine {
 
 /// Configuration of the maximum relative fair clique search (Algorithm 2
 /// with the pruning arsenal of Sections III-V). The branch order is always
-/// CalColorOD and the bounds always apply at the first two branch depths
-/// (kBoundDepth in core/prepared_graph.cc); neither is an option.
+/// CalColorOD and the configured bounds always apply once per component, at
+/// its root (BranchComponent in core/prepared_graph.cc); neither is an
+/// option.
 struct SearchOptions {
   FairnessParams params;
 
@@ -41,9 +42,11 @@ struct SearchOptions {
   /// three on = the paper's MaxRFC; toggled off for ablation.
   ReductionOptions reductions;
 
-  /// Upper bounds applied at shallow branch nodes. `use_advanced = false`
-  /// and `extra = kNone` reproduces the MaxRFC baseline (only the trivial
-  /// |R| + |C| prune of Alg. 3 line 19, which is always on).
+  /// Upper bounds evaluated on each component before it is branched; a
+  /// component whose bound cannot beat the target is skipped whole.
+  /// `use_advanced = false` and `extra = kNone` reproduces the MaxRFC
+  /// baseline (only the trivial |R| + |C| prune of Alg. 3 line 19, which is
+  /// always on).
   UpperBoundConfig bounds{.use_advanced = false, .extra = ExtraBound::kNone};
 
   /// Prime the incumbent with HeurRFC before branching ("MaxRFC+ub+HeurRFC"
@@ -98,7 +101,8 @@ const char* StopReasonName(StopReason reason);
 /// Search telemetry reported by the benchmark harnesses.
 struct SearchStats {
   uint64_t nodes = 0;            // Branch invocations
-  uint64_t bound_prunes = 0;     // Branches cut by configured upper bounds
+  uint64_t bound_prunes = 0;     // Components cut at their root by the
+                                 // configured upper bounds
   uint64_t size_prunes = 0;      // Branches cut by |R| + |C| (Lemma 5)
   uint64_t attr_prunes = 0;      // Branches cut by attribute infeasibility
   uint64_t cap_removals = 0;     // Candidates dropped by the delta cap

@@ -30,13 +30,6 @@ void RaiseFloor(std::atomic<int64_t>* floor, int64_t value) {
   }
 }
 
-// The configured (expensive) upper bounds run at branch depths strictly
-// below this: depth 0 is each component's root, depth 1 re-checks once the
-// first vertex is chosen. Section VI-A applies them "when selecting vertices
-// to be added to R for the first time"; deeper nodes would pay an O(E(G'))
-// induced-subgraph build each for bounds that rarely beat |R| + |C| there.
-constexpr int kBoundDepth = 2;
-
 // CalColorOD: rank positions in colorful-core peel order.
 std::vector<uint32_t> ComputeBranchPositions(const AttributedGraph& comp) {
   Coloring coloring = GreedyColoring(comp);
@@ -57,7 +50,6 @@ std::vector<uint32_t> ComputeBranchPositions(const AttributedGraph& comp) {
 //        child = the candidates after the pivot at `cursor` that are
 //        adjacent to it, with their attribute counts; advances `cursor`
 //   void Drop(Set& cand, Attribute x)   removes every x-vertex
-//   ForEach(const Set&, fn)    visits members in ascending rank
 //
 // Expand and Drop may consume `cand` destructively: the kernel never reads
 // a candidate set after the node that owns it returns.
@@ -89,10 +81,6 @@ class SortedVectorSets {
   static size_t First(const Set&) { return 0; }
   static bool Done(const Set& s, size_t cursor) { return cursor >= s.size(); }
   static uint32_t Pivot(const Set& s, size_t cursor) { return s[cursor]; }
-  template <typename Fn>
-  static void ForEach(const Set& s, Fn&& fn) {
-    for (uint32_t r : s) fn(r);
-  }
 
   // fclint: hot-path-begin(branch_kernel)
   AttrCounts Expand(Set& cand, size_t& cursor, Set& child) const {
@@ -155,10 +143,6 @@ class BitsetSets {
   static bool Done(const Set& s, size_t cursor) { return cursor >= s.size(); }
   static uint32_t Pivot(const Set&, size_t cursor) {
     return static_cast<uint32_t>(cursor);
-  }
-  template <typename Fn>
-  static void ForEach(const Set& s, Fn&& fn) {
-    s.ForEachSetBit([&](size_t r) { fn(static_cast<uint32_t>(r)); });
   }
 
   // fclint: hot-path-begin(branch_kernel)
@@ -332,16 +316,6 @@ class ComponentSearch {
         }
       }
     }
-    // Configured upper bounds on the induced subgraph of R ∪ C, at shallow
-    // depths only (building the subgraph is O(E(G')) per node).
-    if (depth < kBoundDepth &&
-        (options_.bounds.use_advanced ||
-         options_.bounds.extra != ExtraBound::kNone)) {
-      if (UpperBoundOf(cand, cand_size) < Target()) {
-        stats_.bound_prunes++;
-        return;
-      }
-    }
     // Expand each candidate in rank order; taking only later candidates
     // keeps every clique enumerated exactly once.
     int64_t remaining = cand_size;
@@ -371,16 +345,6 @@ class ComponentSearch {
       scratch_.push_back(sets_.MakeSet());
     }
     return scratch_[static_cast<size_t>(depth)];
-  }
-
-  // Evaluates the configured bound on the subgraph induced by R ∪ C.
-  int64_t UpperBoundOf(const Set& cand, int64_t cand_size) {
-    std::vector<VertexId> verts;
-    verts.reserve(r_.size() + static_cast<size_t>(cand_size));
-    for (uint32_t r : r_) verts.push_back(vertex_at_[r]);
-    sets_.ForEach(cand, [&](uint32_t r) { verts.push_back(vertex_at_[r]); });
-    AttributedGraph sub = comp_.graph.InducedSubgraph(verts);
-    return ComputeUpperBound(sub, options_.params.delta, options_.bounds);
   }
 
   const PreparedComponent& comp_;
@@ -578,12 +542,23 @@ ComponentBranchResult BranchComponent(const PreparedGraph& prepared,
   const PreparedComponent& comp = *prepared.components[component];
   int64_t known =
       floor != nullptr ? floor->load(std::memory_order_relaxed) : 0;
-  if (static_cast<int64_t>(comp.graph.num_vertices()) <
-      std::max<int64_t>(2 * options.params.k, known + 1)) {
+  const int64_t target = std::max<int64_t>(2 * options.params.k, known + 1);
+  if (static_cast<int64_t>(comp.graph.num_vertices()) < target) {
     return out;  // Component too small to beat the incumbent.
   }
   obs::ProfileScope profile_scope("BranchComponent");
   WallTimer timer;
+  // The configured bounds (Section VI-A) run once, at the component's root,
+  // where R is empty and R ∪ C is the component itself. Deeper nodes rely
+  // on the kernel's own size, attribute and delta-cap prunes.
+  if ((options.bounds.use_advanced ||
+       options.bounds.extra != ExtraBound::kNone) &&
+      ComputeUpperBound(comp.graph, options.params.delta, options.bounds) <
+          target) {
+    out.stats.bound_prunes = 1;
+    out.stats.search_micros = timer.ElapsedMicros();
+    return out;
+  }
   const std::vector<uint32_t>& rank_of = comp.BranchPositions();
   const SearchEngine engine =
       ResolveEngineDecision(options.engine, comp.graph.num_vertices()).engine;

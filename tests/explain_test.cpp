@@ -6,6 +6,7 @@
 
 #include "core/max_fair_clique.h"
 #include "core/prepared_graph.h"
+#include "datasets/datasets.h"
 #include "service/graph_registry.h"
 #include "service/prepared_graph_cache.h"
 #include "service/query_executor.h"
@@ -191,6 +192,41 @@ TEST(ExplainTest, SeedReportsLiftedKSourceAndTime) {
       << hit.plan_json;
   EXPECT_EQ(ExtractAll(hit.plan_json, "seed_micros").size(), 1u);
   EXPECT_EQ(hit.result->clique.size(), 6u);
+}
+
+// The configured bounds run once per component, at its root: a component
+// they cut is listed as searched, with no nodes and one bound prune.
+TEST(ExplainTest, ComponentCutByTheRootBoundHasNoNodes) {
+  GraphRegistry registry;
+  auto graph = RegisterGraph(registry, "dblp", LoadDataset("dblp-s", 0.25));
+  PreparedGraphCache prepared_cache(4);
+  QueryExecutor executor(ExecutorOptions{1, 4}, nullptr, &prepared_cache);
+
+  // The unseeded baseline query prepares the plan at k = 2, so the full
+  // query after it hits that plan instead of lifting k past its seed.
+  QueryRequest request;
+  request.graph = graph;
+  request.options = BaselineOptions(2, 1);
+  ASSERT_TRUE(executor.Run(request).status.ok());
+  request.options = FullOptions(2, 1, ExtraBound::kColorfulPath);
+  request.explain = true;
+  QueryResponse response = executor.Run(request);
+  ASSERT_TRUE(response.status.ok());
+  ASSERT_TRUE(response.prepared_hit);
+  EXPECT_EQ(response.result->clique.size(), 22u);
+  const std::string& json = response.plan_json;
+  EXPECT_NE(json.find("\"searched\":true,\"engine\":\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"nodes\":0,\"bound_prunes\":1,"), std::string::npos)
+      << json;
+  for (const char* key : {"nodes", "bound_prunes", "size_prunes",
+                          "attr_prunes", "cap_removals"}) {
+    std::vector<long long> vals = ExtractAll(json, key);
+    ASSERT_GE(vals.size(), 2u) << key;
+    EXPECT_EQ(Sum(vals, 1), vals.back()) << key;
+  }
+  EXPECT_EQ(ExtractAll(json, "nodes").back(), 0);
+  EXPECT_EQ(ExtractAll(json, "bound_prunes").back(), 1);
 }
 
 TEST(ExplainTest, ComponentSkippedAfterASiblingAbortReadsAborted) {

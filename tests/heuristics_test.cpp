@@ -95,6 +95,24 @@ TEST(HeurRFCTest, FindsPlantedCliqueApproximately) {
   EXPECT_GE(heur.clique.size(), 8u);
 }
 
+TEST(HeurRFCTest, TrimsAnUnfairGrownCliqueToItsBestFairSubset) {
+  // K5 with attributes a,b,a,b,a: the greedy pass grows all five (3 a, 2 b),
+  // which is unfair at delta = 0; dropping the last-added a leaves a fair
+  // 4-clique.
+  GraphBuilder b(5);
+  for (VertexId u = 0; u < 5; ++u) {
+    for (VertexId v = u + 1; v < 5; ++v) b.AddEdge(u, v);
+    b.SetAttribute(u, u % 2 == 0 ? Attribute::kA : Attribute::kB);
+  }
+  AttributedGraph g = b.Build();
+  const FairnessParams params{2, 0};
+  HeuristicResult heur = HeurRFC(g, params);
+  EXPECT_EQ(heur.clique.size(), 4u);
+  EXPECT_TRUE(IsFairClique(g, heur.clique.vertices, params));
+  EXPECT_EQ(heur.clique.attr_counts.a(), 2);
+  EXPECT_EQ(heur.clique.attr_counts.b(), 2);
+}
+
 TEST(HeurRFCTest, SingleAttributeGraphYieldsEmpty) {
   GraphBuilder b(8);
   for (VertexId u = 0; u < 8; ++u) {

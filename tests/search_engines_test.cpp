@@ -139,30 +139,30 @@ constexpr GoldenCounts kGolden[] = {
     {0, 1, 99, 55, 36, 0, 0, 4, true},
     {0, 2, 107, 97, 0, 0, 0, 5, true},
     {0, 3, 0, 0, 0, 0, 0, 0, true},
-    {0, 4, 47, 19, 8, 0, 13, 5, true},
-    {0, 5, 47, 19, 8, 0, 13, 5, true},
-    {0, 6, 47, 19, 0, 0, 21, 5, true},
-    {0, 7, 33, 13, 8, 0, 12, 5, true},
+    {0, 4, 88, 70, 9, 0, 0, 5, true},
+    {0, 5, 88, 70, 9, 0, 0, 5, true},
+    {0, 6, 107, 97, 0, 0, 0, 5, true},
+    {0, 7, 78, 65, 9, 0, 0, 5, true},
     {0, 10, 51, 39, 0, 0, 0, 4, false},
     {0, 11, 196, 147, 33, 0, 0, 5, true},
     {1, 0, 250, 202, 21, 0, 0, 5, true},
     {1, 1, 58, 38, 15, 0, 0, 4, true},
     {1, 2, 73, 62, 2, 0, 0, 5, true},
     {1, 3, 0, 0, 0, 0, 0, 0, true},
-    {1, 4, 47, 28, 2, 0, 13, 5, true},
-    {1, 5, 47, 28, 2, 0, 13, 5, true},
-    {1, 6, 47, 28, 2, 0, 13, 5, true},
-    {1, 7, 44, 27, 2, 0, 13, 5, true},
+    {1, 4, 73, 62, 2, 0, 0, 5, true},
+    {1, 5, 73, 62, 2, 0, 0, 5, true},
+    {1, 6, 73, 62, 2, 0, 0, 5, true},
+    {1, 7, 70, 61, 2, 0, 0, 5, true},
     {1, 10, 51, 41, 0, 0, 0, 4, false},
     {1, 11, 292, 211, 36, 0, 0, 5, true},
     {2, 0, 2937, 2318, 581, 7, 0, 7, true},
     {2, 1, 4024, 2480, 1449, 8, 0, 6, true},
     {2, 2, 3309, 2968, 298, 2, 0, 8, true},
     {2, 3, 2970, 2376, 568, 0, 0, 7, true},
-    {2, 4, 2921, 2324, 535, 3, 28, 7, true},
-    {2, 5, 2712, 2165, 479, 3, 34, 7, true},
-    {2, 6, 2694, 2377, 238, 2, 36, 8, true},
-    {2, 7, 2915, 2322, 534, 0, 28, 7, true},
+    {2, 4, 3311, 2691, 584, 3, 0, 7, true},
+    {2, 5, 3311, 2691, 584, 3, 0, 7, true},
+    {2, 6, 3309, 2968, 298, 2, 0, 8, true},
+    {2, 7, 3305, 2689, 583, 0, 0, 7, true},
     {2, 10, 51, 31, 4, 0, 0, 6, false},
     {2, 11, 2937, 2318, 581, 7, 0, 7, true},
     {3, 0, 517, 273, 44, 0, 0, 4, true},
@@ -179,30 +179,30 @@ constexpr GoldenCounts kGolden[] = {
     {4, 1, 2318, 1721, 489, 0, 0, 6, true},
     {4, 2, 2293, 2117, 69, 0, 0, 7, true},
     {4, 3, 65, 61, 0, 0, 0, 7, true},
-    {4, 4, 777, 564, 73, 0, 89, 7, true},
-    {4, 5, 688, 486, 61, 0, 91, 7, true},
-    {4, 6, 842, 668, 20, 0, 96, 7, true},
-    {4, 7, 530, 360, 57, 0, 94, 7, true},
+    {4, 4, 2078, 1785, 207, 0, 0, 7, true},
+    {4, 5, 2078, 1785, 207, 0, 0, 7, true},
+    {4, 6, 2293, 2117, 69, 0, 0, 7, true},
+    {4, 7, 1994, 1724, 207, 0, 0, 7, true},
     {4, 10, 51, 39, 0, 0, 0, 5, false},
     {4, 11, 2213, 1891, 235, 0, 0, 7, true},
     {5, 0, 2870, 2736, 67, 4, 0, 22, true},
     {5, 1, 1895, 1752, 124, 5, 0, 22, true},
     {5, 2, 2049, 1992, 40, 0, 0, 22, true},
     {5, 3, 1618, 1547, 51, 1, 0, 22, true},
-    {5, 4, 508, 216, 45, 4, 225, 22, true},
-    {5, 5, 494, 203, 42, 4, 227, 22, true},
-    {5, 6, 482, 203, 35, 0, 228, 22, true},
-    {5, 7, 411, 194, 60, 0, 151, 22, true},
+    {5, 4, 2077, 2002, 52, 4, 0, 22, true},
+    {5, 5, 2077, 2002, 52, 4, 0, 22, true},
+    {5, 6, 2049, 1992, 40, 0, 0, 22, true},
+    {5, 7, 1364, 1297, 61, 0, 0, 22, true},
     {5, 10, 51, 29, 0, 0, 0, 5, false},
     {5, 11, 2764, 2621, 57, 4, 0, 22, true},
     {6, 0, 6475, 6130, 222, 0, 0, 22, true},
     {6, 1, 6292, 5832, 392, 2, 0, 22, true},
     {6, 2, 6829, 6602, 146, 4, 0, 22, true},
     {6, 3, 5257, 5006, 201, 2, 0, 22, true},
-    {6, 4, 1377, 458, 176, 0, 719, 22, true},
-    {6, 5, 1329, 418, 161, 0, 726, 22, true},
-    {6, 6, 1381, 484, 140, 4, 729, 22, true},
-    {6, 7, 1, 0, 0, 0, 1, 22, true},
+    {6, 4, 6830, 6563, 190, 0, 0, 22, true},
+    {6, 5, 6830, 6563, 190, 0, 0, 22, true},
+    {6, 6, 6829, 6602, 146, 4, 0, 22, true},
+    {6, 7, 0, 0, 0, 0, 1, 22, true},
     {6, 10, 51, 35, 1, 0, 0, 6, false},
     {6, 11, 7733, 7335, 216, 1, 0, 22, true},
 };

@@ -172,8 +172,12 @@ int64_t AdvancedBound(const AttributedGraph& sub, const Coloring& coloring,
 
 int64_t ComputeUpperBound(const AttributedGraph& sub, int delta,
                           const UpperBoundConfig& config) {
+  return ComputeUpperBound(sub, GreedyColoring(sub), delta, config);
+}
+
+int64_t ComputeUpperBound(const AttributedGraph& sub, const Coloring& coloring,
+                          int delta, const UpperBoundConfig& config) {
   if (sub.num_vertices() == 0) return 0;
-  Coloring coloring = GreedyColoring(sub);
   int64_t ub = SizeBound(sub);
   if (config.use_advanced) {
     ub = std::min(ub, AdvancedBound(sub, coloring, delta));

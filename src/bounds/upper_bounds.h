@@ -96,8 +96,13 @@ int64_t ColorfulPathBound(const AttributedGraph& sub, const Coloring& coloring);
 int64_t AdvancedBound(const AttributedGraph& sub, const Coloring& coloring,
                       int delta);
 
-/// Evaluates the configured bound on the induced subgraph `sub` (colored
-/// internally). Returns the min over the selected component bounds.
+/// Evaluates the configured bound on the induced subgraph `sub` under
+/// `coloring`, a proper coloring of it. Returns the min over the selected
+/// component bounds.
+int64_t ComputeUpperBound(const AttributedGraph& sub, const Coloring& coloring,
+                          int delta, const UpperBoundConfig& config);
+
+/// The same, with `sub` colored by GreedyColoring first.
 int64_t ComputeUpperBound(const AttributedGraph& sub, int delta,
                           const UpperBoundConfig& config);
 

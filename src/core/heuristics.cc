@@ -133,28 +133,23 @@ HeuristicResult HeurRFC(const AttributedGraph& g, const FairnessParams& params) 
   AttributedGraph current = g;
   std::vector<VertexId> ids(g.num_vertices());
   std::iota(ids.begin(), ids.end(), 0);
-  auto shrink_to_core = [&](uint32_t k_star) {
-    std::vector<uint8_t> alive = KCoreAliveFlags(current, k_star);
-    std::vector<VertexId> inner;
-    AttributedGraph next = current.FilteredSubgraph(alive, {}, &inner);
-    std::vector<VertexId> composed(inner.size());
-    for (size_t i = 0; i < inner.size(); ++i) composed[i] = ids[inner[i]];
-    ids = std::move(composed);
-    current = std::move(next);
-  };
   if (!deg.empty()) {
-    shrink_to_core(static_cast<uint32_t>(deg.size()) - 1);
+    current = g.FilteredSubgraph(
+        KCoreAliveFlags(g, static_cast<uint32_t>(deg.size()) - 1), {}, &ids);
   }
   CliqueResult colorful = ColorfulDegHeur(current, params);
   if (colorful.size() > result.clique.size()) {
     // Map back to original ids.
     for (VertexId& v : colorful.vertices) v = ids[v];
     result.clique = colorful;
-    shrink_to_core(static_cast<uint32_t>(result.clique.size()) - 1);
   }
-  // Color the surviving graph; its color count bounds any fair clique it
-  // still contains (lines 9-10).
-  result.color_upper_bound = GreedyColoring(current).num_colors;
+  // Color the (|R*|-1)-core of the remainder, masked rather than copied;
+  // its color count bounds any fair clique it still contains (lines 9-10).
+  const uint32_t k_star =
+      static_cast<uint32_t>(std::max<size_t>(result.clique.size(), 1) - 1);
+  result.color_upper_bound =
+      GreedyColoring(current, GraphMask{KCoreAliveFlags(current, k_star), {}})
+          .num_colors;
   return result;
 }
 

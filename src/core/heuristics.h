@@ -33,7 +33,8 @@ CliqueResult ColorfulDegHeur(const AttributedGraph& g,
 
 /// HeurRFC (Algorithm 6): runs DegHeur, shrinks the graph to the
 /// (|R*|-1)-core, runs ColorfulDegHeur on the remainder, keeps the larger
-/// fair clique, shrinks again, and reports the surviving graph's color count
+/// fair clique, and reports the color count of the remainder's
+/// (|R*|-1)-core for the kept R* (colored through a GraphMask, not copied)
 /// as an upper bound on the maximum fair clique size. O(V + E).
 HeuristicResult HeurRFC(const AttributedGraph& g, const FairnessParams& params);
 

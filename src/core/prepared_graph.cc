@@ -30,12 +30,6 @@ void RaiseFloor(std::atomic<int64_t>* floor, int64_t value) {
   }
 }
 
-// CalColorOD: rank positions in colorful-core peel order.
-std::vector<uint32_t> ComputeBranchPositions(const AttributedGraph& comp) {
-  Coloring coloring = GreedyColoring(comp);
-  return ComputeColorfulCores(comp, coloring).position;
-}
-
 // Candidate-set policies for the one Branch kernel below. A policy owns a
 // component's rank-space adjacency and builds child sets; the kernel owns
 // every prune rule, so the two representations cannot drift apart. A
@@ -365,9 +359,21 @@ class ComponentSearch {
 
 }  // namespace
 
+void PreparedComponent::Memoize() const {
+  std::call_once(position_once_, [this] {
+    coloring_ = GreedyColoring(graph);
+    // CalColorOD: rank positions in colorful-core peel order.
+    positions_ = ComputeColorfulCores(graph, coloring_).position;
+  });
+}
+
+const Coloring& PreparedComponent::BranchColoring() const {
+  Memoize();
+  return coloring_;
+}
+
 const std::vector<uint32_t>& PreparedComponent::BranchPositions() const {
-  std::call_once(position_once_,
-                 [this] { positions_ = ComputeBranchPositions(graph); });
+  Memoize();
   return positions_;
 }
 
@@ -553,8 +559,8 @@ ComponentBranchResult BranchComponent(const PreparedGraph& prepared,
   // on the kernel's own size, attribute and delta-cap prunes.
   if ((options.bounds.use_advanced ||
        options.bounds.extra != ExtraBound::kNone) &&
-      ComputeUpperBound(comp.graph, options.params.delta, options.bounds) <
-          target) {
+      ComputeUpperBound(comp.graph, comp.BranchColoring(),
+                        options.params.delta, options.bounds) < target) {
     out.stats.bound_prunes = 1;
     out.stats.search_micros = timer.ElapsedMicros();
     return out;

@@ -10,6 +10,7 @@
 
 #include "common/timer.h"
 #include "core/max_fair_clique.h"
+#include "graph/coloring.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 #include "reduction/reduce.h"
@@ -17,30 +18,36 @@
 namespace fairclique {
 
 /// One connected component of the reduced graph, relabeled to local vertex
-/// ids, with its CalColorOD branch ordering memoized. The ordering is the
-/// delta-independent half of the branch stage: it depends only on the
+/// ids, with its coloring and CalColorOD branch ordering memoized. Both are
+/// the delta-independent half of the branch stage: they depend only on the
 /// component's structure, so a delta-sweep over one PreparedGraph computes
-/// it once.
+/// them once.
 struct PreparedComponent {
   AttributedGraph graph;
   /// Local component vertex id -> id in the *input* graph the plan was
   /// prepared from (the reduction and decomposition maps pre-composed).
   std::vector<VertexId> original_ids;
 
-  /// Rank position of each local vertex in CalColorOD (colorful-core peel)
-  /// order, computed on first use and memoized; thread-safe, so concurrent
-  /// component tasks of different queries can share one PreparedComponent.
+  /// The component's GreedyColoring, which the root bound reads, and the
+  /// rank position of each local vertex in CalColorOD (colorful-core peel
+  /// under that coloring) order. Both are computed together on first use
+  /// and memoized; thread-safe, so concurrent component tasks of different
+  /// queries can share one PreparedComponent.
   ///
-  /// Only the positions are memoized. The candidate-set policies' rank-space
+  /// Only these two are memoized. The candidate-set policies' rank-space
   /// adjacency (sorted rows / n^2-bit neighbor bitsets) is also
   /// delta-independent but is rebuilt per BranchComponent on purpose: it is
   /// O(E) against an exponential branch stage, while caching it — per
   /// engine — in a plan that lives in an LRU would pin up to ~2 MB per
   /// dense component for as long as the plan stays cached.
+  const Coloring& BranchColoring() const;
   const std::vector<uint32_t>& BranchPositions() const;
 
  private:
+  void Memoize() const;
+
   mutable std::once_flag position_once_;
+  mutable Coloring coloring_;
   mutable std::vector<uint32_t> positions_;
 };
 

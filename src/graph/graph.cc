@@ -64,19 +64,27 @@ AttributedGraph AttributedGraph::FilteredSubgraph(
   for (size_t i = 0; i < kept.size(); ++i) {
     local[kept[i]] = static_cast<VertexId>(i);
   }
-  GraphBuilder builder(static_cast<VertexId>(kept.size()));
+  auto store = std::make_shared<OwnedCsr>();
+  store->attributes.resize(kept.size());
+  // The renumbering keeps the id order, so walking the kept rows in order,
+  // each from its larger neighbors on, emits the edges sorted.
   for (size_t i = 0; i < kept.size(); ++i) {
-    builder.SetAttribute(static_cast<VertexId>(i), attribute(kept[i]));
-  }
-  for (EdgeId e = 0; e < num_edges(); ++e) {
-    if (!edge_alive.empty() && !edge_alive[e]) continue;
-    const Edge& edge = edges_[e];
-    if (vertex_alive[edge.u] && vertex_alive[edge.v]) {
-      builder.AddEdge(local[edge.u], local[edge.v]);
+    const VertexId v = kept[i];
+    store->attributes[i] = attributes_[v];
+    const std::span<const VertexId> nbrs = neighbors(v);
+    const std::span<const EdgeId> ids = edge_ids(v);
+    const size_t larger = static_cast<size_t>(
+        std::upper_bound(nbrs.begin(), nbrs.end(), v) - nbrs.begin());
+    for (size_t j = larger; j < nbrs.size(); ++j) {
+      if (local[nbrs[j]] == kInvalidVertex ||
+          (!edge_alive.empty() && !edge_alive[ids[j]])) {
+        continue;
+      }
+      store->edges.push_back({static_cast<VertexId>(i), local[nbrs[j]]});
     }
   }
   if (original_ids != nullptr) *original_ids = std::move(kept);
-  return builder.Build();
+  return FromEdges(std::move(store));
 }
 
 std::vector<std::vector<VertexId>> AttributedGraph::ConnectedComponents()
@@ -163,21 +171,23 @@ void GraphBuilder::AddEdge(VertexId u, VertexId v) {
 AttributedGraph GraphBuilder::Build() const {
   auto store = std::make_shared<AttributedGraph::OwnedCsr>();
   store->edges = raw_edges_;
-  // FilteredSubgraph emits its edges already in order.
   if (!std::is_sorted(store->edges.begin(), store->edges.end())) {
     std::sort(store->edges.begin(), store->edges.end());
   }
   store->edges.erase(std::unique(store->edges.begin(), store->edges.end()),
                      store->edges.end());
   store->attributes = attributes_;
+  return AttributedGraph::FromEdges(std::move(store));
+}
 
+AttributedGraph AttributedGraph::FromEdges(std::shared_ptr<OwnedCsr> store) {
   AttributedGraph g;
   g.attr_counts_ = AttrCounts{};
   for (uint8_t a : store->attributes) {
     g.attr_counts_[static_cast<Attribute>(a)]++;
   }
 
-  const size_t n = num_vertices_;
+  const size_t n = store->attributes.size();
   std::vector<uint32_t> deg(n, 0);
   for (const Edge& e : store->edges) {
     deg[e.u]++;

@@ -102,7 +102,7 @@ class AttributedGraph {
   /// Extracts the subgraph on the vertices with alive[v] == true, dropping
   /// additionally every edge with edge_alive[e] == false (pass an empty span
   /// to keep all surviving-endpoint edges). Used to materialize reduction
-  /// results.
+  /// results. Walks only the kept vertices' rows: O(V + their degrees).
   AttributedGraph FilteredSubgraph(std::span<const uint8_t> vertex_alive,
                                    std::span<const uint8_t> edge_alive,
                                    std::vector<VertexId>* original_ids = nullptr) const;
@@ -127,6 +127,10 @@ class AttributedGraph {
     std::vector<Edge> edges;                  // size E, u < v, sorted
     std::vector<uint8_t> attributes;          // size V
   };
+
+  /// The graph of `store`'s edges (sorted, no duplicates, u < v) and
+  /// attributes: fills the CSR rows and adopts the store.
+  static AttributedGraph FromEdges(std::shared_ptr<OwnedCsr> store);
 
   /// Keeps the bytes behind the spans alive: an OwnedCsr or an arbitrary
   /// holder (mmap'd file). Shared between copies — the store is immutable.

@@ -18,29 +18,18 @@ size_t ListingGrain(VertexId n) {
 }  // namespace
 
 DegreeOrientation::DegreeOrientation(const AttributedGraph& g,
-                                     const GraphMask& mask,
                                      ParallelHelpers* helpers) {
   helpers = HelpersForWork(helpers, g.num_edges());
   const VertexId n = g.num_vertices();
-  std::vector<uint32_t> degree(n);
-  ParallelFor(helpers, n, kRowGrain, [&](size_t begin, size_t end) {
-    for (VertexId u = begin; u < end; ++u) degree[u] = AliveDegree(g, mask, u);
-  });
-  // A vertex outside the mask has alive degree 0. It ranks below every
-  // vertex with an alive edge, so it never heads an arc from one, and rows
-  // of degree 0 are skipped: only a sized edge mask needs checking below.
-  auto ranks_below = [&degree](VertexId u, VertexId v) {
-    return degree[u] < degree[v] || (degree[u] == degree[v] && u < v);
+  auto ranks_below = [&g](VertexId u, VertexId v) {
+    return g.degree(u) < g.degree(v) || (g.degree(u) == g.degree(v) && u < v);
   };
   // offsets_[u + 1] first holds u's out-degree, then the prefix sum.
   offsets_.assign(static_cast<size_t>(n) + 1, 0);
   ParallelFor(helpers, n, kRowGrain, [&](size_t begin, size_t end) {
     for (VertexId u = begin; u < end; ++u) {
-      if (degree[u] == 0) continue;
       uint64_t out = 0;
-      ForEachNeighbor(g, mask.edge_alive, u, [&](VertexId v, EdgeId) {
-        out += ranks_below(u, v);
-      });
+      for (VertexId v : g.neighbors(u)) out += ranks_below(u, v);
       offsets_[u + 1] = out;
     }
   });
@@ -49,11 +38,12 @@ DegreeOrientation::DegreeOrientation(const AttributedGraph& g,
   ParallelFor(helpers, n, kRowGrain, [&](size_t begin, size_t end) {
     // fclint: hot-path-begin(masked_orientation_rows)
     for (VertexId u = begin; u < end; ++u) {
-      if (degree[u] == 0) continue;
+      const std::span<const VertexId> nbrs = g.neighbors(u);
+      const std::span<const EdgeId> ids = g.edge_ids(u);
       uint64_t pos = offsets_[u];
-      ForEachNeighbor(g, mask.edge_alive, u, [&](VertexId v, EdgeId e) {
-        if (ranks_below(u, v)) arcs_[pos++] = {v, e};
-      });
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        if (ranks_below(u, nbrs[i])) arcs_[pos++] = {nbrs[i], ids[i]};
+      }
     }
     // fclint: hot-path-end
   });

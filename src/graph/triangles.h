@@ -42,22 +42,17 @@ struct Triangle {
   EdgeId vw;
 };
 
-/// The alive edges of a masked graph directed from lower to higher (degree,
-/// id) rank, degrees counting alive edges only, as out-rows of (head vertex,
-/// edge id) over the graph's own ids. Every out-degree is at most
-/// O(sqrt(E)), and the sum over edges (u,v) of |out(v)| is O(alpha * E)
-/// (Chiba-Nishizeki 1985), which bounds the listing below. The triangles
-/// listed are those whose three edges are alive.
+/// The edges of a graph directed from lower to higher (degree, id) rank, as
+/// out-rows of (head vertex, edge id) over the graph's own ids. Every
+/// out-degree is at most O(sqrt(E)), and the sum over edges (u,v) of
+/// |out(v)| is O(alpha * E) (Chiba-Nishizeki 1985), which bounds the
+/// listing below.
 class DegreeOrientation {
  public:
   /// Builds the out-rows, one vertex range per ParallelFor chunk (inline
   /// below kParallelMinWork edges, as is ListTriangles).
-  DegreeOrientation(const AttributedGraph& g, const GraphMask& mask,
-                    ParallelHelpers* helpers = nullptr);
-  /// The whole graph.
   explicit DegreeOrientation(const AttributedGraph& g,
-                             ParallelHelpers* helpers = nullptr)
-      : DegreeOrientation(g, GraphMask{}, helpers) {}
+                             ParallelHelpers* helpers = nullptr);
 
   /// Calls `fn(e_uv, e_uw, e_vw)` once per triangle {u, v, w}, labelled so
   /// that u < v < w by vertex id. Mark-array forward listing (Schank-Wagner
@@ -88,7 +83,7 @@ class DegreeOrientation {
   void ForEachTriangle(VertexId begin, VertexId end, Fn&& fn) const;
 
   std::vector<uint64_t> offsets_;  // size V+1
-  std::vector<Arc> arcs_;          // one per alive edge, rows sorted by head
+  std::vector<Arc> arcs_;          // one per edge, rows sorted by head
 };
 
 /// One-shot form of DegreeOrientation::ForEachTriangle.

@@ -1,9 +1,11 @@
 #include "reduction/colorful_core.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/logging.h"
 #include "common/parallel_for.h"
+#include "graph/cores.h"
 
 namespace fairclique {
 
@@ -36,12 +38,15 @@ struct ColorCountTable {
   // Two passes over the vertices, each split into chunks that own their
   // vertices' slices: count the distinct keys of every row, then fill and
   // sort only those keys. stamp[key] == v marks a key already seen in v's
-  // row, so neither pass clears anything between rows.
+  // row, so neither pass clears anything between rows. Only the vertices
+  // `alive` keeps (all when it is empty) have rows, and only their alive
+  // neighbors are counted; the other rows are empty.
   void Build(const AttributedGraph& g, const Coloring& coloring,
-             ParallelHelpers* helpers) {
+             std::span<const uint8_t> alive, ParallelHelpers* helpers) {
     helpers = HelpersForWork(helpers, g.num_edges());
     const VertexId n = g.num_vertices();
     const size_t key_space = 2 * static_cast<size_t>(coloring.num_colors);
+    const GraphMask mask{alive, {}};
     auto key_of = [&](VertexId w) {
       return MakeKey(coloring.color[w], g.attribute(w));
     };
@@ -50,8 +55,10 @@ struct ColorCountTable {
     ParallelFor(helpers, n, kGrain, [&](size_t begin, size_t end) {
       std::vector<VertexId> stamp(key_space, kInvalidVertex);
       for (VertexId v = begin; v < end; ++v) {
+        if (!mask.vertex(v)) continue;
         uint64_t distinct = 0;
         for (VertexId w : g.neighbors(v)) {
+          if (!mask.vertex(w)) continue;
           const uint32_t key = key_of(w);
           if (stamp[key] != v) {
             stamp[key] = v;
@@ -68,9 +75,11 @@ struct ColorCountTable {
       std::vector<VertexId> stamp(key_space, kInvalidVertex);
       std::vector<uint32_t> count(key_space);
       for (VertexId v = begin; v < end; ++v) {
+        if (!mask.vertex(v)) continue;
         uint32_t* row = keys.data() + offsets[v];
         size_t distinct = 0;
         for (VertexId w : g.neighbors(v)) {
+          if (!mask.vertex(w)) continue;
           const uint32_t key = key_of(w);
           if (stamp[key] != v) {
             stamp[key] = v;
@@ -103,7 +112,7 @@ VertexReductionResult ColorfulCore(const AttributedGraph& g,
   }
 
   ColorCountTable table;
-  table.Build(g, coloring, nullptr);
+  table.Build(g, coloring, {}, nullptr);
   // Distinct-color degree per attribute.
   std::vector<AttrCounts> d(n);
   for (VertexId v = 0; v < n; ++v) {
@@ -151,15 +160,22 @@ VertexReductionResult EnColorfulCore(const AttributedGraph& g,
                                      ParallelHelpers* helpers) {
   const VertexId n = g.num_vertices();
   VertexReductionResult result;
-  result.alive.assign(n, 1);
   if (k <= 0) {
+    result.alive.assign(n, 1);
     result.vertices_left = n;
     result.edges_left = g.num_edges();
     return result;
   }
 
+  // Degree pre-peel. ED(u) <= (ca + cb + cm) / 2, so ED(u) >= k needs 2k
+  // distinct neighbor colors, hence 2k neighbors: every vertex of the
+  // fixpoint has 2k neighbors inside it, which puts the fixpoint in the
+  // plain 2k-core. The peel below is monotone, so starting it from that
+  // superset instead of g reaches the same fixpoint, and the color table
+  // covers only core vertices and their core neighbors.
+  result.alive = KCoreAliveFlags(g, 2 * static_cast<uint32_t>(k));
   ColorCountTable table;
-  table.Build(g, coloring, helpers);
+  table.Build(g, coloring, result.alive, helpers);
   // Per-vertex color-class sizes: ca (a-only colors), cb (b-only), cm (mixed).
   struct Classes {
     int64_t ca = 0, cb = 0, cm = 0;
@@ -186,7 +202,7 @@ VertexReductionResult EnColorfulCore(const AttributedGraph& g,
 
   std::vector<VertexId> queue;
   for (VertexId v = 0; v < n; ++v) {
-    if (cls[v].Ed() < k) {
+    if (result.alive[v] && cls[v].Ed() < k) {
       result.alive[v] = 0;
       queue.push_back(v);
     }
@@ -234,10 +250,11 @@ VertexReductionResult EnColorfulCore(const AttributedGraph& g,
     }
   }
   for (VertexId v = 0; v < n; ++v) {
-    if (result.alive[v]) result.vertices_left++;
-  }
-  for (const Edge& e : g.edges()) {
-    if (result.alive[e.u] && result.alive[e.v]) result.edges_left++;
+    if (!result.alive[v]) continue;
+    result.vertices_left++;
+    for (VertexId w : g.neighbors(v)) {
+      result.edges_left += w > v && result.alive[w];
+    }
   }
   return result;
 }
@@ -252,7 +269,7 @@ ColorfulCoreDecomposition ComputeColorfulCores(const AttributedGraph& g,
   if (n == 0) return result;
 
   ColorCountTable table;
-  table.Build(g, coloring, nullptr);
+  table.Build(g, coloring, {}, nullptr);
   std::vector<AttrCounts> d(n);
   for (VertexId v = 0; v < n; ++v) {
     for (uint64_t i = table.offsets[v]; i < table.offsets[v + 1]; ++i) {

@@ -35,9 +35,16 @@ VertexReductionResult ColorfulCore(const AttributedGraph& g,
 /// assigned exclusively to one attribute; a vertex survives while its
 /// enhanced colorful degree ED(u) = max_x min(ca+x, cb+cm-x) >= k (see
 /// EnhancedColorfulDegrees). By Lemma 2 fair cliques live in the enhanced
-/// colorful (k-1)-core. `helpers` (common/parallel_for.h) may build the
-/// color maps; the peel is serial, and the result does not depend on the
-/// helpers.
+/// colorful (k-1)-core.
+///
+/// The peel starts from the plain 2k-core (KCoreAliveFlags, no colors):
+/// ED(u) <= (ca+cb+cm)/2, so a survivor sees 2k distinct neighbor colors
+/// and has 2k neighbors among the survivors, which puts the fixpoint inside
+/// that core; the peel is monotone, so it reaches the same fixpoint from
+/// any superset. Only core vertices and their core neighbors enter the
+/// color maps: beyond the O(V + E) degree peel, the work is that of the
+/// core. `helpers` (common/parallel_for.h) may build the color maps; the
+/// peels are serial, and the result does not depend on the helpers.
 VertexReductionResult EnColorfulCore(const AttributedGraph& g,
                                      const Coloring& coloring, int k,
                                      ParallelHelpers* helpers = nullptr);

@@ -87,7 +87,7 @@ EdgeReductionResult EdgeSurvivors(const AttributedGraph& g,
 
 std::vector<AttrCounts> ComputeColorfulSupports(const AttributedGraph& g,
                                                 const Coloring& coloring) {
-  TriangleIndex index(g, GraphMask{}, nullptr);
+  TriangleIndex index(g, nullptr);
   std::vector<AttrCounts> sup(g.num_edges());
   index.SortIntoRuns(coloring, [&sup](EdgeId e, const EdgeRuns& r) {
     sup[e][Attribute::kA] = r.classes.a_only + r.classes.mixed;
@@ -156,7 +156,7 @@ void ColorfulSupPeel(const AttributedGraph& g, const Coloring& coloring, int k,
 EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
                                          const Coloring& coloring, int k,
                                          ParallelHelpers* helpers) {
-  TriangleIndex index(g, GraphMask{}, helpers);
+  TriangleIndex index(g, helpers);
   std::vector<uint8_t> alive(g.num_edges(), 1);
   ColorfulSupPeel(g, coloring, k, index, alive);
   return EdgeSurvivors(g, std::move(alive));
@@ -221,7 +221,7 @@ void EnColorfulSupPeel(const AttributedGraph& g, const Coloring& coloring,
 EdgeReductionResult EnColorfulSupReduction(const AttributedGraph& g,
                                            const Coloring& coloring, int k,
                                            ParallelHelpers* helpers) {
-  TriangleIndex index(g, GraphMask{}, helpers);
+  TriangleIndex index(g, helpers);
   std::vector<uint8_t> alive(g.num_edges(), 1);
   EnColorfulSupPeel(g, coloring, k, index, alive);
   return EdgeSurvivors(g, std::move(alive));

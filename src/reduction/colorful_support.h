@@ -83,8 +83,8 @@ EdgeReductionResult ColorfulSupReduction(const AttributedGraph& g,
 /// The masked stage entry behind ColorfulSupReduction, which calls it with
 /// every edge alive. `alive` (size E) names the stage's input, the alive
 /// edges of g, and `index` must hold exactly their triangles, the ones
-/// whose three edges are alive, in any slot order: a TriangleIndex built
-/// over the same mask, or an earlier peel's index after
+/// whose three edges are alive, in any slot order: a TriangleIndex of g
+/// with every edge alive, or an earlier peel's index after
 /// `index.Compact(alive)`. `coloring` need only cover the endpoints of
 /// alive edges. The peel clears the removed edges in `alive`. The index
 /// keeps the input's triangles; Compact(alive) then leaves exactly those

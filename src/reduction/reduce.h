@@ -26,7 +26,9 @@ struct ReductionStageStats {
   std::string name;
   VertexId vertices_left = 0;
   EdgeId edges_left = 0;
-  int64_t micros = 0;  // the last stage's includes the final copy
+  // EnColorfulCore's includes the copy of its survivors, and the last
+  // support stage's the final copy.
+  int64_t micros = 0;
 };
 
 /// Result of the staged reduction pipeline. `reduced` is the materialized
@@ -43,22 +45,26 @@ struct ReductionPipelineResult {
 /// survives in the result (Lemmas 2-4); reductions are independent of
 /// delta.
 ///
-/// The stages run on g itself plus a vertex and an edge alive mask
-/// (GraphMask), each recoloring the current survivors with the masked
-/// GreedyColoring first. The survivors are copied once, by FilteredSubgraph
-/// at the end; with every stage off, `reduced` shares g. The first support
-/// stage lists the survivors' triangles into a TriangleIndex. Compacted to
-/// the triangles whose three edges survived its peel, that index is the
-/// second support stage's input, re-keyed under its own coloring, not
-/// listed again. The result equals chaining the public stage functions
-/// with a FilteredSubgraph copy after each, since that renumbering keeps
-/// the id order and every stage's fixpoint is unique.
+/// Each stage recolors its input with GreedyColoring first. EnColorfulCore
+/// runs on g, starting its peel from the plain 2(k-1)-core, and its
+/// survivors are copied once (FilteredSubgraph). The support stages run on
+/// that copy plus a vertex and an edge alive mask (GraphMask), recoloring
+/// with the masked GreedyColoring, and their survivors are copied once more
+/// at the end; with no support stage `reduced` is EnColorfulCore's copy,
+/// and with every stage off it shares g. The first support stage lists the
+/// copy's triangles into a TriangleIndex. Compacted to the triangles whose
+/// three edges survived its peel, that index is the second support stage's
+/// input, re-keyed under its own coloring, not listed again. The result
+/// equals chaining the public stage functions with a FilteredSubgraph copy
+/// after each: that renumbering keeps the id order, so colorings agree, and
+/// every stage's fixpoint is unique, so a peel started from a superset of
+/// it (the degree core) or run on a copy reaches the same one.
 ///
 /// `helpers` (common/parallel_for.h) may run the stages' data-parallel
 /// passes (color maps, orientation, triangle listing and slot fill, count
 /// pass, run sort) that walk at least kParallelMinWork edges or triangles.
-/// Coloring, the peels, the index compaction and the final copy stay on
-/// the caller. The result does not depend on the helpers.
+/// Coloring, the peels, the index compaction and the copies stay on the
+/// caller. The result does not depend on the helpers.
 ReductionPipelineResult ReduceForFairClique(const AttributedGraph& g, int k,
                                             const ReductionOptions& options,
                                             ParallelHelpers* helpers = nullptr);

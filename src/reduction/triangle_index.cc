@@ -13,12 +13,12 @@ constexpr size_t kOwnerRanges = 3;
 
 }  // namespace
 
-TriangleIndex::TriangleIndex(const AttributedGraph& g, const GraphMask& mask,
+TriangleIndex::TriangleIndex(const AttributedGraph& g,
                              ParallelHelpers* helpers)
     : g_(g) {
   const EdgeId m = g.num_edges();
   const std::vector<Triangle> triangles =
-      DegreeOrientation(g, mask, helpers).ListTriangles(helpers);
+      DegreeOrientation(g, helpers).ListTriangles(helpers);
   helpers_ = HelpersForWork(helpers, std::max<uint64_t>(m, triangles.size()));
   // Edge-range ownership: every chunk scans the whole array and touches
   // only its own edges' counters and slots. No atomics are needed, and

@@ -30,9 +30,9 @@ struct EdgeRuns {
 };
 
 // The triangle index both support reductions peel on (colorful_support.h).
-// Every alive edge e = {u, v} (u < v) of a masked graph owns one slot per
-// triangle {u, v, w} on it whose three edges are alive, holding the side
-// edges ({u,w}, {v,w}); all ids are the graph's own. The slots start in
+// Every edge e = {u, v} (u < v) of a graph owns one slot per triangle
+// {u, v, w} on it, holding the side edges ({u,w}, {v,w}); all ids are the
+// graph's own. The slots start in
 // listing order, which is all a count peel needs; Compact may then drop the
 // triangles of dead edges, which is how one stage's index becomes the next
 // stage's. SortIntoRuns sorts an edge's slots by the key
@@ -48,13 +48,12 @@ class TriangleIndex {
     EdgeId second;  // {v, w}
   };
 
-  // Lists the triangles of the alive edges once into an array, frees the
-  // orientation, then counts and fills the per-edge slots from the array.
+  // Lists the triangles once into an array, frees the orientation, then
+  // counts and fills the per-edge slots from the array.
   // The slots are unsorted until SortIntoRuns. The passes after the listing
   // share work when the graph has kParallelMinWork edges or triangles: a
   // dense core can have few edges but many triangles.
-  TriangleIndex(const AttributedGraph& g, const GraphMask& mask,
-                ParallelHelpers* helpers);
+  TriangleIndex(const AttributedGraph& g, ParallelHelpers* helpers);
 
   // (color(w) << 1) | attr(w) under the coloring of the last SortIntoRuns:
   // a vertex's M_e key.

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/enumeration.h"
 #include "graph/coloring.h"
+#include "graph/cores.h"
+#include "graph/generators.h"
 #include "reduction/colorful_core.h"
 #include "test_util.h"
 
@@ -110,15 +113,57 @@ TEST(ColorfulCoreTest, SurvivorsSatisfyDegreeInvariant) {
 }
 
 TEST(EnColorfulCoreTest, MatchesBruteForce) {
+  // G(60, p) at three densities, and sparse ones with a planted balanced
+  // 16-clique. EnColorfulCore starts its peel from the plain 2k-core; count
+  // the cases where that core drops vertices yet the enhanced core is not
+  // empty, where the pre-peel matters.
+  std::vector<AttributedGraph> graphs;
   for (uint64_t seed : {11u, 12u, 13u, 14u}) {
-    AttributedGraph g = RandomAttributedGraph(60, 0.15, seed);
+    for (double p : {0.15, 0.3, 0.5}) {
+      graphs.push_back(RandomAttributedGraph(60, p, seed));
+    }
+    Rng rng(seed);
+    graphs.push_back(PlantClique(RandomAttributedGraph(60, 0.1, seed), 16,
+                                 /*balanced=*/true, rng, nullptr));
+  }
+  // K_{2k+2}, half a and half b, plus a vertex joined to k a's and k b's
+  // of it: at that k the vertex survives with exactly 2k neighbors, the
+  // tightest case the pre-peel must keep.
+  for (VertexId k = 2; k <= 4; ++k) {
+    const VertexId clique = 2 * k + 2;
+    GraphBuilder b(clique + 1);
+    for (VertexId u = 0; u < clique; ++u) {
+      b.SetAttribute(u, u % 2 == 0 ? Attribute::kA : Attribute::kB);
+      for (VertexId v = u + 1; v < clique; ++v) b.AddEdge(u, v);
+    }
+    for (VertexId u = 0; u < 2 * k; ++u) b.AddEdge(u, clique);
+    graphs.push_back(b.Build());
+  }
+  int pre_peeled = 0;
+  int tight = 0;  // a survivor with exactly 2k surviving neighbors
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const AttributedGraph& g = graphs[i];
     Coloring c = GreedyColoring(g);
-    for (int k = 1; k <= 4; ++k) {
+    for (int k = 1; k <= 8; ++k) {
       VertexReductionResult fast = EnColorfulCore(g, c, k);
       std::vector<uint8_t> brute = BruteEnColorfulCore(g, c, k);
-      EXPECT_EQ(fast.alive, brute) << "seed=" << seed << " k=" << k;
+      EXPECT_EQ(fast.alive, brute) << "graph " << i << " k=" << k;
+      const std::vector<uint8_t> core =
+          KCoreAliveFlags(g, 2 * static_cast<uint32_t>(k));
+      if (fast.vertices_left > 0 &&
+          std::count(core.begin(), core.end(), 0) > 0) {
+        ++pre_peeled;
+      }
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        if (!brute[v]) continue;
+        int alive_neighbors = 0;
+        for (VertexId w : g.neighbors(v)) alive_neighbors += brute[w];
+        tight += alive_neighbors == 2 * k;
+      }
     }
   }
+  EXPECT_GT(pre_peeled, 0);
+  EXPECT_GT(tight, 0);
 }
 
 TEST(EnColorfulCoreTest, StrongerThanColorfulCore) {

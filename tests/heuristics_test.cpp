@@ -3,6 +3,9 @@
 #include "core/enumeration.h"
 #include "core/heuristics.h"
 #include "core/verifier.h"
+#include "datasets/datasets.h"
+#include "graph/coloring.h"
+#include "graph/cores.h"
 #include "graph/generators.h"
 #include "test_util.h"
 
@@ -111,6 +114,24 @@ TEST(HeurRFCTest, TrimsAnUnfairGrownCliqueToItsBestFairSubset) {
   EXPECT_TRUE(IsFairClique(g, heur.clique.vertices, params));
   EXPECT_EQ(heur.clique.attr_counts.a(), 2);
   EXPECT_EQ(heur.clique.attr_counts.b(), 2);
+}
+
+TEST(HeurRFCTest, ColorBoundIsTheCoreCopysColorCount) {
+  // HeurRFC colors the (|R*|-1)-core of its remainder through a mask. The
+  // copy form: the (|R*|-1)-core of g (k-cores nest, so it is also that
+  // core of the remainder), materialized and colored on its own.
+  for (const DatasetSpec& spec : StandardDatasets()) {
+    const AttributedGraph g = LoadDataset(spec.name);
+    for (int delta = 1; delta <= 2; ++delta) {
+      const FairnessParams params{spec.default_k, delta};
+      const HeuristicResult heur = HeurRFC(g, params);
+      const uint32_t size = static_cast<uint32_t>(heur.clique.size());
+      const AttributedGraph core = g.FilteredSubgraph(
+          KCoreAliveFlags(g, size > 0 ? size - 1 : 0), {});
+      EXPECT_EQ(heur.color_upper_bound, GreedyColoring(core).num_colors)
+          << spec.name << " delta=" << delta;
+    }
+  }
 }
 
 TEST(HeurRFCTest, SingleAttributeGraphYieldsEmpty) {

@@ -20,7 +20,8 @@ using testing_util::EdgesOf;
 
 // The chained-copy form of the pipeline: recolor the current copy, run the
 // public stage on it, FilteredSubgraph the survivors, compose the ids.
-// ReduceForFairClique instead keeps masks over g and copies once.
+// ReduceForFairClique copies only twice: EnColorfulCore's survivors, then,
+// after both support stages ran on that copy under masks, theirs.
 class ChainedCopy {
  public:
   explicit ChainedCopy(const AttributedGraph& g) : g_(g), cur_(g) {

@@ -171,8 +171,8 @@ TEST(ParallelReduction, ThrowingChunkWithdrawsTheRest) {
 // the full pipeline, where EnColorfulSup takes over ColorfulSup's triangle
 // index, and each stage alone, where ColorfulSup or EnColorfulSup lists its
 // own. Then ColorfulSup switched off, where EnColorfulSup lists from
-// EnColorfulCore's masks; it has no fingerprint, so the serial run is the
-// reference.
+// EnColorfulCore's survivor copy; it has no fingerprint, so the serial run
+// is the reference.
 void ExpectScale4Fingerprints(const std::string& name,
                               ParallelHelpers* helpers) {
   const AttributedGraph g = LoadDataset(name, 4);

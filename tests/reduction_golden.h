@@ -270,6 +270,63 @@ constexpr GoldenReduction kGolden[] = {
     {"aminer-s", 4, 8, 3, 75, 694, 0x4b0caba966196bbeull},
 };
 
+// The same pipelines at each stand-in's lifted k: the k' = LiftedK of the
+// HeurRFC seed of a full-preset query at the dataset's default k and
+// delta = 1, the plan a cold query at that key prepares. There the plain
+// 2(k'-1)-core that EnColorfulCore(k'-1) starts its peel from already drops
+// vertices, so these rows pin that degree pre-peel. Recorded from the
+// pipeline before the pre-peel and the survivor copy existed.
+constexpr GoldenReduction kGoldenLifted[] = {
+    {"themarker-s", 1, 11, 0, 49, 571, 0x8eefab0b23a25a77ull},
+    {"themarker-s", 1, 11, 1, 57, 845, 0x3a1abdf55c00fa7eull},
+    {"themarker-s", 1, 11, 2, 49, 571, 0x8eefab0b23a25a77ull},
+    {"themarker-s", 1, 11, 3, 49, 571, 0x8eefab0b23a25a77ull},
+    {"themarker-s", 4, 17, 0, 0, 0, 0xcbf29ce484222325ull},
+    {"themarker-s", 4, 17, 1, 0, 0, 0xcbf29ce484222325ull},
+    {"themarker-s", 4, 17, 2, 0, 0, 0xcbf29ce484222325ull},
+    {"themarker-s", 4, 17, 3, 0, 0, 0xcbf29ce484222325ull},
+    {"google-s", 1, 11, 0, 22, 231, 0xeb0c40b1b0ad8b4dull},
+    {"google-s", 1, 11, 1, 22, 231, 0xeb0c40b1b0ad8b4dull},
+    {"google-s", 1, 11, 2, 22, 231, 0xeb0c40b1b0ad8b4dull},
+    {"google-s", 1, 11, 3, 22, 231, 0xeb0c40b1b0ad8b4dull},
+    {"google-s", 4, 11, 0, 22, 231, 0xd72ea71d9a400486ull},
+    {"google-s", 4, 11, 1, 22, 231, 0xd72ea71d9a400486ull},
+    {"google-s", 4, 11, 2, 22, 231, 0xd72ea71d9a400486ull},
+    {"google-s", 4, 11, 3, 22, 231, 0xd72ea71d9a400486ull},
+    {"dblp-s", 1, 11, 0, 22, 231, 0x8879c1d35f414a66ull},
+    {"dblp-s", 1, 11, 1, 22, 231, 0x8879c1d35f414a66ull},
+    {"dblp-s", 1, 11, 2, 22, 231, 0x8879c1d35f414a66ull},
+    {"dblp-s", 1, 11, 3, 22, 231, 0x8879c1d35f414a66ull},
+    {"dblp-s", 4, 11, 0, 22, 231, 0x7fd8aaef37cf8e1dull},
+    {"dblp-s", 4, 11, 1, 22, 231, 0x7fd8aaef37cf8e1dull},
+    {"dblp-s", 4, 11, 2, 22, 231, 0x7fd8aaef37cf8e1dull},
+    {"dblp-s", 4, 11, 3, 22, 231, 0x7fd8aaef37cf8e1dull},
+    {"flixster-s", 1, 10, 0, 42, 421, 0x72e870f6094237f1ull},
+    {"flixster-s", 1, 10, 1, 42, 422, 0x7eaabc901c2d125dull},
+    {"flixster-s", 1, 10, 2, 42, 421, 0x72e870f6094237f1ull},
+    {"flixster-s", 1, 10, 3, 42, 421, 0x72e870f6094237f1ull},
+    {"flixster-s", 4, 11, 0, 22, 231, 0x4e75e839ec08b136ull},
+    {"flixster-s", 4, 11, 1, 22, 231, 0x4e75e839ec08b136ull},
+    {"flixster-s", 4, 11, 2, 22, 231, 0x4e75e839ec08b136ull},
+    {"flixster-s", 4, 11, 3, 22, 231, 0x4e75e839ec08b136ull},
+    {"pokec-s", 1, 11, 0, 47, 528, 0xcf77acb65d5b6b3dull},
+    {"pokec-s", 1, 11, 1, 54, 738, 0xb85ba85d83850726ull},
+    {"pokec-s", 1, 11, 2, 47, 528, 0xcf77acb65d5b6b3dull},
+    {"pokec-s", 1, 11, 3, 47, 528, 0xcf77acb65d5b6b3dull},
+    {"pokec-s", 4, 16, 0, 0, 0, 0xcbf29ce484222325ull},
+    {"pokec-s", 4, 16, 1, 37, 654, 0x4f879a999c76f812ull},
+    {"pokec-s", 4, 16, 2, 0, 0, 0xcbf29ce484222325ull},
+    {"pokec-s", 4, 16, 3, 0, 0, 0xcbf29ce484222325ull},
+    {"aminer-s", 1, 11, 0, 22, 231, 0xa57867d85c64d20bull},
+    {"aminer-s", 1, 11, 1, 22, 231, 0xa57867d85c64d20bull},
+    {"aminer-s", 1, 11, 2, 22, 231, 0xa57867d85c64d20bull},
+    {"aminer-s", 1, 11, 3, 22, 231, 0xa57867d85c64d20bull},
+    {"aminer-s", 4, 11, 0, 22, 231, 0x432d40ca2872d894ull},
+    {"aminer-s", 4, 11, 1, 22, 231, 0x432d40ca2872d894ull},
+    {"aminer-s", 4, 11, 2, 22, 231, 0x432d40ca2872d894ull},
+    {"aminer-s", 4, 11, 3, 22, 231, 0x432d40ca2872d894ull},
+};
+
 inline ReductionOptions StageOptions(int stages) {
   switch (stages) {
     case 1: return {true, false, false};

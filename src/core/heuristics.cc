@@ -104,6 +104,17 @@ CliqueResult RunGreedy(const AttributedGraph& g,
   return grown;
 }
 
+// ColorfulDegHeur, also reporting how many colors its coloring of `g` used.
+CliqueResult ColorfulPass(const AttributedGraph& g,
+                          const FairnessParams& params, int* num_colors) {
+  Coloring coloring = GreedyColoring(g);
+  *num_colors = coloring.num_colors;
+  std::vector<AttrCounts> d = ColorfulDegrees(g, coloring);
+  std::vector<int64_t> score(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) score[v] = d[v].Min();
+  return RunGreedy(g, score, params);
+}
+
 }  // namespace
 
 CliqueResult DegHeur(const AttributedGraph& g, const FairnessParams& params) {
@@ -114,11 +125,8 @@ CliqueResult DegHeur(const AttributedGraph& g, const FairnessParams& params) {
 
 CliqueResult ColorfulDegHeur(const AttributedGraph& g,
                              const FairnessParams& params) {
-  Coloring coloring = GreedyColoring(g);
-  std::vector<AttrCounts> d = ColorfulDegrees(g, coloring);
-  std::vector<int64_t> score(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) score[v] = d[v].Min();
-  return RunGreedy(g, score, params);
+  int num_colors = 0;
+  return ColorfulPass(g, params, &num_colors);
 }
 
 HeuristicResult HeurRFC(const AttributedGraph& g, const FairnessParams& params) {
@@ -137,11 +145,20 @@ HeuristicResult HeurRFC(const AttributedGraph& g, const FairnessParams& params) 
     current = g.FilteredSubgraph(
         KCoreAliveFlags(g, static_cast<uint32_t>(deg.size()) - 1), {}, &ids);
   }
-  CliqueResult colorful = ColorfulDegHeur(current, params);
+  int remainder_colors = 0;
+  CliqueResult colorful = ColorfulPass(current, params, &remainder_colors);
   if (colorful.size() > result.clique.size()) {
     // Map back to original ids.
     for (VertexId& v : colorful.vertices) v = ids[v];
     result.clique = colorful;
+  }
+  // R* lies in the remainder's (|R*|-1)-core, so any coloring of that core
+  // uses at least |R*| colors. When the remainder's own coloring already
+  // uses no more, |R*| is the bound and the core needs no second coloring.
+  const auto r_star = static_cast<int64_t>(result.clique.size());
+  if (remainder_colors <= r_star) {
+    result.color_upper_bound = r_star;
+    return result;
   }
   // Color the (|R*|-1)-core of the remainder, masked rather than copied;
   // its color count bounds any fair clique it still contains (lines 9-10).

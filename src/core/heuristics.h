@@ -11,6 +11,9 @@ namespace fairclique {
 /// Result of a heuristic run: the fair clique found (empty when the greedy
 /// pass ends with fewer than k of an attribute), plus the color-count upper
 /// bound computed by HeurRFC (Algorithm 6 lines 9-10; 0 when not computed).
+/// The bound holds for every clique of the input, fair or not: when the
+/// clique reaches it, the clique is a maximum clique and therefore a
+/// maximum fair clique for every k and delta (a certificate).
 struct HeuristicResult {
   CliqueResult clique;
   int64_t color_upper_bound = 0;
@@ -35,7 +38,11 @@ CliqueResult ColorfulDegHeur(const AttributedGraph& g,
 /// (|R*|-1)-core, runs ColorfulDegHeur on the remainder, keeps the larger
 /// fair clique, and reports the color count of the remainder's
 /// (|R*|-1)-core for the kept R* (colored through a GraphMask, not copied)
-/// as an upper bound on the maximum fair clique size. O(V + E).
+/// as an upper bound on the maximum clique size. Every clique larger than
+/// R* lies in that core. When ColorfulDegHeur's coloring of the whole
+/// remainder already uses at most |R*| colors, the bound is |R*| and the
+/// core is not colored again: it contains R*, so no coloring of it uses
+/// fewer. O(V + E).
 HeuristicResult HeurRFC(const AttributedGraph& g, const FairnessParams& params);
 
 }  // namespace fairclique

@@ -21,8 +21,10 @@ const char* StopReasonName(StopReason reason) {
 // The monolithic entry point is a thin wrapper over the staged query plan
 // (core/prepared_graph.h): SeedAndLift seeds on `g` and picks the plan's k,
 // PrepareGraph (Reduce + Decompose) runs at that k, and the Branch stage
-// searches it against the seed. The service's QueryExecutor takes the same
-// steps on a plan-cache miss. Callers that re-ask with different
+// searches it against the seed. A certified seed skips the reduction: its
+// empty CertifiedPlan gives the Branch stage no tasks, so it answers the
+// seed. The service's QueryExecutor takes the same steps on a plan-cache
+// miss. Callers that re-ask with different
 // delta/bound options should PrepareGraph once and call
 // SearchPreparedGraph per query (or go through the service layer's
 // PreparedGraphCache).
@@ -35,7 +37,8 @@ SearchResult FindMaximumFairClique(const AttributedGraph& g,
   LiftedSeed lifted = SeedAndLift(g, options);
   WallTimer reduce_timer;
   std::shared_ptr<const PreparedGraph> prepared =
-      PrepareGraph(g, lifted.plan_k, options.reductions);
+      lifted.certified ? CertifiedPlan(lifted.plan_k, options.reductions)
+                       : PrepareGraph(g, lifted.plan_k, options.reductions);
   int64_t reduce_micros = reduce_timer.ElapsedMicros();
 
   // The monolith's time limit covers seed + reduction + branch; deduct the

@@ -144,10 +144,13 @@ struct SearchResult {
 /// This is a thin wrapper over core/prepared_graph.h. SeedAndLift seeds
 /// the incumbent on `g` (HeurRFC when use_heuristic, or the warm start) and
 /// lifts k to k' = max(k, ceil((|seed| + 1 - delta) / 2)): any fair clique
-/// larger than the seed has at least k' of each attribute. PrepareGraph
-/// (Reduce + Decompose, delta-independent) then runs at k', and the Branch
-/// stage searches at (k', delta) against the seed. The answer's size is
-/// that of a search at k; its witness may be a different maximum clique.
+/// larger than the seed has at least k' of each attribute. When the seed
+/// reaches HeurRFC's color bound it is a maximum clique of `g` and is
+/// returned as it is: sorted ids, the heuristic_* stats, no reduction
+/// stages and no branch nodes. Otherwise PrepareGraph (Reduce + Decompose,
+/// delta-independent) runs at k', and the Branch stage searches at
+/// (k', delta) against the seed. The answer's size is that of a search at
+/// k; its witness may be a different maximum clique.
 /// Workloads that sweep delta/bounds on one (graph, k) should prepare once
 /// and branch per query instead of paying the reduction every time.
 SearchResult FindMaximumFairClique(const AttributedGraph& g,

@@ -491,6 +491,7 @@ IncumbentSeed SeedOn(const AttributedGraph& g, const AttributedGraph& search,
     HeuristicResult heur = HeurRFC(search, options.params);
     seed.heuristic_micros = heur_timer.ElapsedMicros();
     seed.heuristic_size = static_cast<int64_t>(heur.clique.size());
+    seed.upper_bound = heur.color_upper_bound;
     if (!heur.clique.empty()) {
       seed.clique.attr_counts = heur.clique.attr_counts;
       for (VertexId v : heur.clique.vertices) {
@@ -532,9 +533,18 @@ int LiftedK(const FairnessParams& params, int64_t seed_size) {
 LiftedSeed SeedAndLift(const AttributedGraph& g, const SearchOptions& options) {
   LiftedSeed out;
   out.seed = SeedOn(g, g, nullptr, options);
-  out.plan_k = LiftedK(options.params,
-                       static_cast<int64_t>(out.seed.clique.size()));
+  const auto size = static_cast<int64_t>(out.seed.clique.size());
+  out.plan_k = LiftedK(options.params, size);
+  out.certified = out.seed.upper_bound > 0 && size >= out.seed.upper_bound;
   return out;
+}
+
+std::shared_ptr<const PreparedGraph> CertifiedPlan(
+    int k, const ReductionOptions& reductions) {
+  auto plan = std::make_shared<PreparedGraph>();
+  plan->k = k;
+  plan->reductions = reductions;
+  return plan;
 }
 
 ComponentBranchResult BranchComponent(const PreparedGraph& prepared,

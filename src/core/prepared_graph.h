@@ -111,7 +111,10 @@ struct IncumbentSeed {
   CliqueResult clique;  // original input-graph ids; may be empty
   int64_t heuristic_micros = 0;
   int64_t heuristic_size = 0;
-  /// Whole seeding time: the heuristic plus the warm-start check.
+  /// HeurRFC's color bound on every clique of the graph it ran on; 0 when
+  /// HeurRFC did not run (baseline and bounded presets, empty graphs).
+  int64_t upper_bound = 0;
+  /// Whole seeding time: the heuristic, its bound and the warm-start check.
   int64_t seed_micros = 0;
   /// The clique is the caller's warm start (it beat the heuristic's).
   bool from_warm_start = false;
@@ -134,15 +137,28 @@ int LiftedK(const FairnessParams& params, int64_t seed_size);
 struct LiftedSeed {
   IncumbentSeed seed;
   int plan_k = 1;  // LiftedK(options.params, |seed|)
+  /// HeurRFC ran and |seed| >= seed.upper_bound: no clique of the graph is
+  /// larger, so the seed is the answer and nothing needs preparing.
+  bool certified = false;
 };
 
 /// Seeds a query that has no plan yet: HeurRFC (when options.use_heuristic)
-/// on `g` itself, or the warm start when it is larger. Every (k, delta)-fair
-/// clique that beats the seed is also (plan_k, delta)-fair, so Lemmas 2-4
-/// at plan_k keep it: the query prepares at plan_k, branches at
-/// (plan_k, delta) against the seed, and answers the larger of the two.
-/// plan_k == k when the seed is empty or delta is too large to lift.
+/// on `g` itself, or the warm start when it is larger. When the seed
+/// reaches HeurRFC's color bound it is certified: a maximum clique of `g`,
+/// hence a maximum fair clique for every k and delta, so the query branches
+/// on CertifiedPlan and answers the seed. A larger verified warm start is
+/// certified by the same bound, since every clique larger than it is larger
+/// than HeurRFC's too. Otherwise every (k, delta)-fair clique that beats
+/// the seed is also (plan_k, delta)-fair, so Lemmas 2-4 at plan_k keep it:
+/// the query prepares at plan_k, branches at (plan_k, delta) against the
+/// seed, and answers the larger of the two. plan_k == k when the seed is
+/// empty or delta is too large to lift.
 LiftedSeed SeedAndLift(const AttributedGraph& g, const SearchOptions& options);
+
+/// The plan a certified seed branches on: no reduction and no components at
+/// (k, reductions), so its Branch stage has no tasks and answers the seed.
+std::shared_ptr<const PreparedGraph> CertifiedPlan(
+    int k, const ReductionOptions& reductions);
 
 /// Outcome of branching one prepared component.
 struct ComponentBranchResult {

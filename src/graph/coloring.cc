@@ -1,6 +1,8 @@
 #include "graph/coloring.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "common/logging.h"
 
@@ -82,19 +84,44 @@ std::vector<AttrCounts> ColorfulDegrees(const AttributedGraph& g,
                                         const Coloring& coloring) {
   const VertexId n = g.num_vertices();
   std::vector<AttrCounts> result(n);
-  // seen[attr][color] == v marks (attr, color) as counted for vertex v.
-  std::vector<VertexId> seen[2];
-  seen[0].assign(static_cast<size_t>(coloring.num_colors), kInvalidVertex);
-  seen[1].assign(static_cast<size_t>(coloring.num_colors), kInvalidVertex);
+  // One bit per (color, attribute) seen among a vertex's neighbors, counted
+  // by popcount. Colors below 64 go to two register words, one per
+  // attribute. Higher colors go to word 2 * (c / 64) + attribute of
+  // `table`, which the vertex zeroes again after counting, touching only
+  // the words its neighbors set: each vertex costs O(deg + 1).
+  std::vector<uint64_t> table(
+      2 * ((static_cast<size_t>(coloring.num_colors) + 63) / 64));
   for (VertexId v = 0; v < n; ++v) {
+    uint64_t low_a = 0;
+    uint64_t low_b = 0;
+    bool high = false;
     for (VertexId w : g.neighbors(v)) {
-      int ai = AttrIndex(g.attribute(w));
-      size_t c = static_cast<size_t>(coloring.color[w]);
-      if (seen[ai][c] != v) {
-        seen[ai][c] = v;
-        result[v].counts[ai]++;
+      const auto c = static_cast<uint32_t>(coloring.color[w]);
+      const uint64_t bit = uint64_t{1} << (c & 63);
+      const int ai = AttrIndex(g.attribute(w));
+      if (c < 64) {
+        // Branch-free on the attribute: b_mask is all ones for a b-vertex.
+        const uint64_t b_mask = uint64_t{0} - static_cast<uint64_t>(ai);
+        low_a |= bit & ~b_mask;
+        low_b |= bit & b_mask;
+      } else {
+        table[2 * (c >> 6) + static_cast<size_t>(ai)] |= bit;
+        high = true;
       }
     }
+    int64_t counts[2] = {std::popcount(low_a), std::popcount(low_b)};
+    if (high) {
+      for (VertexId w : g.neighbors(v)) {
+        const auto c = static_cast<uint32_t>(coloring.color[w]);
+        if (c < 64) continue;
+        const int ai = AttrIndex(g.attribute(w));
+        uint64_t& word = table[2 * (c >> 6) + static_cast<size_t>(ai)];
+        counts[ai] += std::popcount(word);
+        word = 0;
+      }
+    }
+    result[v].counts[0] = counts[0];
+    result[v].counts[1] = counts[1];
   }
   return result;
 }

@@ -54,6 +54,9 @@ struct QueryExecutor::QueryState {
   IncumbentSeed seed;
   std::shared_ptr<const PreparedGraph> prepared;
   int64_t prepare_micros = 0;  // 0 on a prepared-cache hit
+  /// The seed reached HeurRFC's bound: the plan is CertifiedPlan's, and no
+  /// prepare stage ran.
+  bool certified = false;
   Deadline deadline;           // spans prepare + branch, like the monolith
   /// True when the per-query deadline is what set (or lowered) the
   /// effective time limit — a kTimeLimit stop is then reported as
@@ -265,8 +268,10 @@ bool QueryExecutor::PreSearch(QueryState& qs) {
 
   // Prepared plan. A plan cached at the request's k serves as it is,
   // seeded on its reduced graph. Otherwise the query seeds on the input
-  // graph first and prepares at the lifted k (SeedAndLift), so the
-  // reduction keeps only what could beat the seed. Plans are keyed by
+  // graph first. A certified seed is the answer: it branches on an empty
+  // plan that is neither built nor published. Any other seed prepares at
+  // the lifted k (SeedAndLift), so the reduction keeps only what could
+  // beat the seed. Plans are keyed by
   // (fingerprint, plan k, reductions) only, so a delta/bound sweep on one
   // graph reduces once per plan k, and a lifted plan is shared and
   // single-flighted like any other.
@@ -288,35 +293,47 @@ bool QueryExecutor::PreSearch(QueryState& qs) {
     qs.seed = std::move(lifted.seed);
     if (qs.response.trace_id != 0) qs.t_seed_end = qs.queued.ElapsedMicros();
     const int plan_k = lifted.plan_k;
-    auto build = [&] {
-      return PrepareGraph(g, plan_k, qs.effective.reductions, this);
-    };
-    WallTimer prepare_timer;
-    bool built = true;
-    if (use_prepared) {
-      // Single-flight through the cache: concurrent identical cold queries
-      // share one reduction; only the builder pays (and logs) it.
-      qs.prepared = prepared_cache_->GetOrPrepare(
-          PreparedGraphCache::MakeKey(fingerprint, plan_k,
-                                      qs.effective.reductions),
-          fingerprint, build, &built);
+    qs.certified = lifted.certified;
+    if (qs.certified) {
+      qs.prepared = CertifiedPlan(plan_k, qs.effective.reductions);
+      certified_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      qs.prepared = build();
-    }
-    if (built) {
-      qs.prepare_micros = prepare_timer.ElapsedMicros();
-      prepared_builds_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      qs.response.prepared_hit = true;
-      prepared_hits_.fetch_add(1, std::memory_order_relaxed);
+      auto build = [&] {
+        return PrepareGraph(g, plan_k, qs.effective.reductions, this);
+      };
+      WallTimer prepare_timer;
+      bool built = true;
+      if (use_prepared) {
+        // Single-flight through the cache: concurrent identical cold
+        // queries share one reduction; only the builder pays (and logs) it.
+        qs.prepared = prepared_cache_->GetOrPrepare(
+            PreparedGraphCache::MakeKey(fingerprint, plan_k,
+                                        qs.effective.reductions),
+            fingerprint, build, &built);
+      } else {
+        qs.prepared = build();
+      }
+      if (built) {
+        qs.prepare_micros = prepare_timer.ElapsedMicros();
+        prepared_builds_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        qs.response.prepared_hit = true;
+        prepared_hits_.fetch_add(1, std::memory_order_relaxed);
+      }
     }
   }
   // Branch at the plan's k: every fair clique that beats the seed is fair
   // at that k too, and the seed stays the answer when none does.
   qs.effective.params.k = qs.prepared->k;
   if (qs.response.trace_id != 0) {
-    qs.t_prepare_end = qs.queued.ElapsedMicros();
-    prepare_hist_->Record(qs.t_prepare_end - qs.t_seed_end);
+    // A certified query has no prepare stage: its branch span starts where
+    // the seed's ends.
+    if (qs.certified) {
+      qs.t_prepare_end = qs.t_seed_end;
+    } else {
+      qs.t_prepare_end = qs.queued.ElapsedMicros();
+      prepare_hist_->Record(qs.t_prepare_end - qs.t_seed_end);
+    }
   }
   return false;
 }
@@ -406,7 +423,9 @@ void QueryExecutor::BuildExplain(QueryState& qs) {
       .EndObject();
 
   // lifted_k is the k the plan was prepared and branched at: the
-  // request's k on a plan hit, SeedAndLift's on a miss.
+  // request's k on a plan hit, SeedAndLift's on a miss. upper_bound is
+  // HeurRFC's color bound (0 when it did not run); a certified seed reached
+  // it, so its plan has no stages and no components.
   static const IncumbentSeed kNoSeed;
   const IncumbentSeed& seed = stage != nullptr ? stage->seed() : kNoSeed;
   const char* seed_source = seed.from_warm_start ? "warm_start"
@@ -420,6 +439,8 @@ void QueryExecutor::BuildExplain(QueryState& qs) {
       .Field("seed_source", stage != nullptr ? seed_source : "")
       .Field("seed_micros", seed.seed_micros)
       .Field("seed_size", seed.clique.size())
+      .Field("upper_bound", seed.upper_bound)
+      .Field("certified", qs.certified)
       .EndObject();
 
   // The SIMD variant the bitset word ops ran with and the memory budget
@@ -528,7 +549,7 @@ void QueryExecutor::RecordTelemetry(QueryState& qs) {
     add_span("result_cache_probe", -1, qs.t_admit, qs.t_probe_end);
     // On a plan hit the plan probe precedes the seed and is charged to it.
     add_span("seed", -1, qs.t_probe_end, t_seed_end);
-    add_span("prepare", -1, t_seed_end, t_prepare_end);
+    if (!qs.certified) add_span("prepare", -1, t_seed_end, t_prepare_end);
     const int32_t branch_span = static_cast<int32_t>(trace->spans.size());
     add_span("branch", -1, t_prepare_end, t_branch_end);
     for (size_t i = 0; i < qs.comp_start_micros.size(); ++i) {
@@ -778,6 +799,7 @@ ExecutorMetrics QueryExecutor::metrics() const {
   m.warm_starts = warm_starts_.load(std::memory_order_relaxed);
   m.prepared_hits = prepared_hits_.load(std::memory_order_relaxed);
   m.prepared_builds = prepared_builds_.load(std::memory_order_relaxed);
+  m.certified = certified_.load(std::memory_order_relaxed);
   m.component_tasks = component_tasks_.load(std::memory_order_relaxed);
   m.deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
   m.expired_in_queue = expired_in_queue_.load(std::memory_order_relaxed);

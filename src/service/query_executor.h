@@ -112,6 +112,7 @@ struct ExecutorMetrics {
   uint64_t warm_starts = 0;            // full searches seeded by a warm hint
   uint64_t prepared_hits = 0;          // Branch stages on a cached plan
   uint64_t prepared_builds = 0;        // plans built (and possibly published)
+  uint64_t certified = 0;              // misses answered by the seed's bound
   uint64_t component_tasks = 0;        // component tasks scheduled pool-wide
   /// Every response answered with deadline_missed = true: searches stopped
   /// by the budget AND requests that expired before a worker ever popped
@@ -330,6 +331,7 @@ class QueryExecutor : public ParallelHelpers {
   std::atomic<uint64_t> warm_starts_{0};
   std::atomic<uint64_t> prepared_hits_{0};
   std::atomic<uint64_t> prepared_builds_{0};
+  std::atomic<uint64_t> certified_{0};
   std::atomic<uint64_t> component_tasks_{0};
   std::atomic<uint64_t> deadline_misses_{0};
   std::atomic<uint64_t> expired_in_queue_{0};

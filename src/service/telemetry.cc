@@ -133,6 +133,8 @@ constexpr CounterRow<Ex> kExecutorRows[] = {
      "Branch stages run on a cached prepared plan"},
     {Member<&Ex::prepared_builds>, "prepared_builds",
      "fc_executor_prepared_builds_total", kCounter, "Prepared plans built"},
+    {Member<&Ex::certified>, "certified", "fc_executor_certified_total",
+     kCounter, "Plan misses answered by HeurRFC's certified seed"},
     {Member<&Ex::component_tasks>, "component_tasks",
      "fc_executor_component_tasks_total", kCounter,
      "Component tasks scheduled pool-wide"},

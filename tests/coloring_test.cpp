@@ -70,9 +70,20 @@ TEST(ColorfulDegreesTest, ManualExample) {
 }
 
 TEST(ColorfulDegreesTest, MatchesBruteForceOnRandomGraphs) {
-  for (uint64_t seed : {10u, 20u, 30u}) {
-    AttributedGraph g = RandomAttributedGraph(60, 0.15, seed);
+  // Sparse graphs, and dense ones whose colorings span more than two 64-bit
+  // words of colors per attribute.
+  struct Case {
+    VertexId n;
+    double p;
+    uint64_t seed;
+  };
+  int wide = 0;
+  for (const Case& cs : {Case{60, 0.15, 10}, Case{60, 0.15, 20},
+                         Case{60, 0.15, 30}, Case{400, 0.95, 40},
+                         Case{500, 0.9, 50}}) {
+    AttributedGraph g = RandomAttributedGraph(cs.n, cs.p, cs.seed);
     Coloring c = GreedyColoring(g);
+    if (c.num_colors > 128) ++wide;
     std::vector<AttrCounts> d = ColorfulDegrees(g, c);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       std::set<ColorId> colors_a, colors_b;
@@ -84,6 +95,7 @@ TEST(ColorfulDegreesTest, MatchesBruteForceOnRandomGraphs) {
       EXPECT_EQ(d[v][Attribute::kB], static_cast<int64_t>(colors_b.size()));
     }
   }
+  EXPECT_EQ(wide, 2);
 }
 
 TEST(BalancedAssignMinTest, KnownValues) {

@@ -89,7 +89,10 @@ TEST(ExplainTest, PreparedHitPlanCarriesEverySection) {
   EXPECT_NE(json.find("\"result_cache\":{\"probed\":true,\"hit\":false}"),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"seed_size\":0}"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"seed_size\":0,\"upper_bound\":0,"
+                      "\"certified\":false}"),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"engine\":\"bitset\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"completed\":false,\"stop_reason\":\"node_limit\"}"),
             std::string::npos)
@@ -97,22 +100,28 @@ TEST(ExplainTest, PreparedHitPlanCarriesEverySection) {
 }
 
 // Two disjoint 6-cliques, each with three vertices of either attribute.
-AttributedGraph TwinCliqueGraph() {
+// With `unfair_clique`, a third component: a 7-clique of a-vertices only.
+// It holds no fair clique, but it keeps HeurRFC's color bound at 7, above
+// the 6-clique seed, so the seed is not certified and the query prepares.
+AttributedGraph TwinCliqueGraph(bool unfair_clique = false) {
   std::vector<std::pair<int, int>> edges;
   for (int base : {0, 6}) {
     for (int i = base; i < base + 6; ++i)
       for (int j = i + 1; j < base + 6; ++j) edges.push_back({i, j});
   }
-  return MakeGraph("ababab" "ababab", edges);
+  if (!unfair_clique) return MakeGraph("ababab" "ababab", edges);
+  for (int i = 12; i < 19; ++i)
+    for (int j = i + 1; j < 19; ++j) edges.push_back({i, j});
+  return MakeGraph("ababab" "ababab" "aaaaaaa", edges);
 }
 
 TEST(ExplainTest, UnsearchedComponentsCarryNoStats) {
-  // HeurRFC seeds one 6-clique. A larger clique needs at least
-  // ceil((6 + 1 - 2) / 2) = 3 of each attribute, so the plan is prepared at
-  // k = 3; both cliques survive it, and neither can beat the seed, so
-  // neither is searched.
+  // HeurRFC seeds one 6-clique against a bound of 7. A larger fair clique
+  // needs at least ceil((6 + 1 - 2) / 2) = 3 of each attribute, so the plan
+  // is prepared at k = 3; both fair cliques survive it, and neither can
+  // beat the seed, so neither is searched.
   GraphRegistry registry;
-  auto graph = RegisterGraph(registry, "twins", TwinCliqueGraph());
+  auto graph = RegisterGraph(registry, "twins", TwinCliqueGraph(true));
   QueryExecutor executor(ExecutorOptions{1, 4}, nullptr);
 
   QueryRequest request;
@@ -123,13 +132,56 @@ TEST(ExplainTest, UnsearchedComponentsCarryNoStats) {
   ASSERT_TRUE(response.status.ok());
   ASSERT_EQ(response.result->clique.size(), 6u);
   const std::string& json = response.plan_json;
-  EXPECT_NE(json.find("\"seed_size\":6}"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"seed_size\":6,\"upper_bound\":7,"
+                      "\"certified\":false}"),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("{\"index\":1,\"vertices\":6,\"edges\":15,"
                       "\"searched\":false}"),
             std::string::npos)
       << json;
   // Neither component can beat the seed, so no row names an engine.
   EXPECT_EQ(json.find("\"engine\""), std::string::npos) << json;
+  EXPECT_EQ(executor.metrics().certified, 0u);
+}
+
+TEST(ExplainTest, CertifiedSeedShowsNoStagesAndNoComponents) {
+  // Without the unfair clique the bound is 6: the seed is a maximum clique,
+  // so the query answers it without a reduction or a component, and
+  // publishes no plan.
+  GraphRegistry registry;
+  auto graph = RegisterGraph(registry, "twins", TwinCliqueGraph());
+  PreparedGraphCache prepared_cache(4);
+  QueryExecutor executor(ExecutorOptions{1, 4}, nullptr, &prepared_cache);
+
+  QueryRequest request;
+  request.graph = graph;
+  request.options = FullOptions(1, 2, ExtraBound::kColorfulPath);
+  request.explain = true;
+  QueryResponse response = executor.Submit(request).get();
+  ASSERT_TRUE(response.status.ok());
+  ASSERT_EQ(response.result->clique.size(), 6u);
+  EXPECT_TRUE(response.result->stats.completed);
+  EXPECT_FALSE(response.deadline_missed);
+  const std::string& json = response.plan_json;
+  EXPECT_NE(json.find("\"prepare\":{\"prepared_hit\":false,"
+                      "\"prepare_micros\":0,"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"stages\":[]"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"components\":[]"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"lifted_k\":3,\"seed_source\":\"heuristic\","),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"seed_size\":6,\"upper_bound\":6,"
+                      "\"certified\":true}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(prepared_cache.Stats().entries, 0u);
+  const ExecutorMetrics m = executor.metrics();
+  EXPECT_EQ(m.certified, 1u);
+  EXPECT_EQ(m.prepared_builds, 0u);
+  EXPECT_EQ(m.component_tasks, 0u);
 }
 
 // The seed object names the plan's k, where the seed came from and what
@@ -137,7 +189,7 @@ TEST(ExplainTest, UnsearchedComponentsCarryNoStats) {
 // plan hit it is the request's own.
 TEST(ExplainTest, SeedReportsLiftedKSourceAndTime) {
   GraphRegistry registry;
-  auto graph = RegisterGraph(registry, "twins", TwinCliqueGraph());
+  auto graph = RegisterGraph(registry, "twins", TwinCliqueGraph(true));
   PreparedGraphCache prepared_cache(4);
   QueryExecutor executor(ExecutorOptions{1, 4}, nullptr, &prepared_cache);
 

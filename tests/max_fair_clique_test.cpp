@@ -5,6 +5,7 @@
 
 #include "core/enumeration.h"
 #include "core/max_fair_clique.h"
+#include "core/prepared_graph.h"
 #include "core/verifier.h"
 #include "graph/generators.h"
 #include "test_util.h"
@@ -179,6 +180,45 @@ TEST(MaxFairCliqueTest, PlantedBalancedCliqueIsFound) {
       FindMaximumFairClique(g, FullOptions(5, 2, ExtraBound::kColorfulPath));
   EXPECT_GE(r.clique.size(), 12u);
   EXPECT_TRUE(IsFairClique(g, r.clique.vertices, {5, 2}));
+}
+
+// A seed that reaches HeurRFC's color bound is answered without a search.
+// On random graphs, with and without a planted balanced clique, every such
+// answer has the Bron-Kerbosch oracle's size; both outcomes occur.
+TEST(MaxFairCliqueTest, CertifiedSeedsMatchTheOracle) {
+  int certified = 0;
+  int uncertified = 0;
+  for (uint64_t seed = 300; seed < 340; ++seed) {
+    const double p = 0.2 + 0.1 * static_cast<double>(seed % 4);
+    AttributedGraph g = RandomAttributedGraph(20 + 5 * (seed % 3), p, seed);
+    if (seed % 2 == 0) {
+      Rng rng(seed);
+      std::vector<VertexId> members;
+      g = PlantClique(g, 8, /*balanced=*/true, rng, &members);
+    }
+    for (int k = 1; k <= 3; ++k) {
+      for (int delta = 0; delta <= 3; ++delta) {
+        const SearchOptions options =
+            FullOptions(k, delta, ExtraBound::kColorfulPath);
+        const LiftedSeed lifted = SeedAndLift(g, options);
+        if (!lifted.certified) {
+          ++uncertified;
+          continue;
+        }
+        ++certified;
+        SearchResult r = FindMaximumFairClique(g, options);
+        EXPECT_EQ(r.clique.size(),
+                  MaxFairCliqueByEnumeration(g, options.params).size())
+            << "seed " << seed << " k " << k << " delta " << delta;
+        EXPECT_TRUE(r.stats.completed);
+        EXPECT_TRUE(r.stats.reduction_stages.empty());
+        EXPECT_EQ(r.stats.nodes, 0u);
+        EXPECT_TRUE(IsFairClique(g, r.clique.vertices, options.params));
+      }
+    }
+  }
+  EXPECT_GT(certified, 0);
+  EXPECT_GT(uncertified, 0);
 }
 
 TEST(MaxFairCliqueTest, DisconnectedComponentsSearched) {

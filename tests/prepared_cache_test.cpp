@@ -265,6 +265,89 @@ TEST(PreparedCacheExecutorTest, BypassPreparedSkipsProbeAndPublish) {
   EXPECT_EQ(r1.result->clique.size(), r2.result->clique.size());
 }
 
+// ------------------------------------------------------ certified seeds
+
+// dblp-s: HeurRFC's seed reaches its color bound on every key, so each
+// full-preset miss answers from the seed. It builds no plan (on either the
+// cached or the bypass path), runs no component task, completes, and
+// answers what the unseeded baseline preset finds by search.
+TEST(CertifiedSeedTest, DblpMissesAnswerFromTheSeedWithoutAPlan) {
+  GraphRegistry registry;
+  auto graph = RegisterGraph(registry, "g", LoadDataset("dblp-s", 1));
+  const AttributedGraph& g = *graph->graph;
+  PreparedGraphCache prepared(8);
+  QueryExecutor executor(ExecutorOptions{2, 16}, nullptr, &prepared);
+
+  uint64_t certified = 0;
+  for (int k : DatasetByName("dblp-s").k_range) {
+    for (int delta = 1; delta <= 4; ++delta) {
+      QueryRequest request;
+      request.graph = graph;
+      request.options = FullOptions(k, delta, ExtraBound::kColorfulPath);
+      request.bypass_prepared_cache = delta % 2 == 0;
+      ASSERT_TRUE(SeedAndLift(g, request.options).certified)
+          << "k " << k << " delta " << delta;
+      QueryResponse response = executor.Submit(request).get();
+      ASSERT_TRUE(response.status.ok());
+      EXPECT_EQ(executor.metrics().certified, ++certified);
+      EXPECT_FALSE(response.prepared_hit);
+      EXPECT_FALSE(response.deadline_missed);
+      EXPECT_TRUE(response.result->stats.completed);
+      EXPECT_TRUE(response.result->stats.reduction_stages.empty());
+      EXPECT_EQ(response.result->stats.nodes, 0u);
+      EXPECT_EQ(response.result->clique.size(),
+                FindMaximumFairClique(g, BaselineOptions(k, delta))
+                    .clique.size())
+          << "k " << k << " delta " << delta;
+      EXPECT_TRUE(VerifyFairClique(g, response.result->clique.vertices,
+                                   request.options.params)
+                      .ok());
+    }
+  }
+  ExecutorMetrics m = executor.metrics();
+  EXPECT_GT(m.certified, 0u);
+  EXPECT_EQ(m.prepared_builds, 0u);
+  EXPECT_EQ(m.prepared_hits, 0u);
+  EXPECT_EQ(m.component_tasks, 0u);
+  EXPECT_EQ(prepared.Stats().entries, 0u);
+}
+
+// themarker-s: the seed stays below the bound on every key, so each miss
+// still prepares, at the lifted k'.
+TEST(CertifiedSeedTest, ThemarkerNeverCertifiesAndPreparesAtTheLiftedK) {
+  GraphRegistry registry;
+  auto graph = RegisterGraph(registry, "g", LoadDataset("themarker-s", 1));
+  const AttributedGraph& g = *graph->graph;
+  PreparedGraphCache prepared(64);
+  QueryExecutor executor(ExecutorOptions{2, 16}, nullptr, &prepared);
+
+  for (int k : DatasetByName("themarker-s").k_range) {
+    for (int delta = 1; delta <= 4; ++delta) {
+      QueryRequest request;
+      request.graph = graph;
+      request.options = FullOptions(k, delta, ExtraBound::kColorfulPath);
+      const LiftedSeed lifted = SeedAndLift(g, request.options);
+      EXPECT_FALSE(lifted.certified) << "k " << k << " delta " << delta;
+      EXPECT_GT(lifted.seed.upper_bound,
+                static_cast<int64_t>(lifted.seed.clique.size()));
+      QueryResponse response = executor.Submit(request).get();
+      ASSERT_TRUE(response.status.ok());
+      EXPECT_NE(prepared.Get(PreparedGraphCache::MakeKey(
+                    graph->fingerprint, lifted.plan_k,
+                    request.options.reductions)),
+                nullptr)
+          << "k " << k << " delta " << delta;
+      EXPECT_EQ(response.result->clique.size(),
+                FindMaximumFairClique(g, BaselineOptions(k, delta))
+                    .clique.size())
+          << "k " << k << " delta " << delta;
+    }
+  }
+  ExecutorMetrics m = executor.metrics();
+  EXPECT_EQ(m.certified, 0u);
+  EXPECT_GT(m.prepared_builds, 0u);
+}
+
 // ------------------------------------------------------- registry migration
 
 TEST(PreparedCacheMigrationTest, RemovalOutsideReducedSetForwards) {

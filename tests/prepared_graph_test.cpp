@@ -224,11 +224,16 @@ TEST(PreparedGraphTest, SeedIncumbentVerifiesWarmStart) {
 // ---------------------------------------------------- seed, then lift k
 
 // A balanced 6-clique (vertices 0-5) with a pendant path 5-6-7-8.
-AttributedGraph CliqueWithTail() {
+AttributedGraph CliqueWithTail(bool unfair_clique = false) {
   std::vector<std::pair<int, int>> edges = {{5, 6}, {6, 7}, {7, 8}};
   for (int i = 0; i < 6; ++i)
     for (int j = i + 1; j < 6; ++j) edges.push_back({i, j});
-  return MakeGraph("ababab" "aba", edges);
+  if (!unfair_clique) return MakeGraph("ababab" "aba", edges);
+  // A disjoint 7-clique of a-vertices: no fair clique, but HeurRFC's color
+  // bound rises to 7, so the 6-clique seed is no longer certified.
+  for (int i = 9; i < 16; ++i)
+    for (int j = i + 1; j < 16; ++j) edges.push_back({i, j});
+  return MakeGraph("ababab" "aba" "aaaaaaa", edges);
 }
 
 TEST(LiftedSeedTest, LiftedKIsTheFewestOfEachAttributeThatCanBeatTheSeed) {
@@ -283,15 +288,30 @@ TEST(LiftedSeedTest, NonOptimalSeedStillFindsTheOptimum) {
 TEST(LiftedSeedTest, DeltaTooLargeToLiftKeepsK) {
   // delta = 3 >= |seed| + 1 - 2k = 3: a 7-clique with two of one attribute
   // and five of the other would beat the seed, so k stays 2.
-  AttributedGraph g = CliqueWithTail();
+  AttributedGraph g = CliqueWithTail(true);
   SearchOptions options = FullOptions(2, 3, ExtraBound::kColorfulPath);
   LiftedSeed lifted = SeedAndLift(g, options);
   ASSERT_EQ(lifted.seed.clique.size(), 6u);
+  EXPECT_EQ(lifted.seed.upper_bound, 7);
+  EXPECT_FALSE(lifted.certified);
   EXPECT_EQ(lifted.plan_k, 2);
   SearchResult r = FindMaximumFairClique(g, options);
   EXPECT_EQ(r.clique.size(), 6u);
   EXPECT_EQ(r.stats.reduction_stages.size(),
             PrepareGraph(g, 2, options.reductions)->stages.size());
+
+  // Without the unfair clique the seed reaches the bound: it is the answer,
+  // with no reduction and no branch node.
+  g = CliqueWithTail();
+  lifted = SeedAndLift(g, options);
+  EXPECT_EQ(lifted.seed.upper_bound, 6);
+  EXPECT_TRUE(lifted.certified);
+  EXPECT_EQ(lifted.plan_k, 2);
+  r = FindMaximumFairClique(g, options);
+  EXPECT_EQ(r.clique.size(), 6u);
+  EXPECT_TRUE(r.stats.reduction_stages.empty());
+  EXPECT_EQ(r.stats.nodes, 0u);
+  EXPECT_TRUE(r.stats.completed);
 }
 
 TEST(LiftedSeedTest, EmptySeedMatchesThePlanAtKNodeForNode) {

@@ -239,6 +239,7 @@ constexpr char kServiceFamilyPreamble[] = R"(
 # HELP fc_executor_active_workers Workers currently executing a query stage or component task
 # HELP fc_executor_admission_queue_depth Whole queries waiting for a worker
 # HELP fc_executor_cache_hits_total Queries answered from the result cache
+# HELP fc_executor_certified_total Plan misses answered by HeurRFC's certified seed
 # HELP fc_executor_component_queue_depth Expanded Branch tasks waiting
 # HELP fc_executor_component_tasks_total Component tasks scheduled pool-wide
 # HELP fc_executor_deadline_misses_total Responses answered with deadline_missed
@@ -294,6 +295,7 @@ constexpr char kServiceFamilyPreamble[] = R"(
 # TYPE fc_executor_active_workers gauge
 # TYPE fc_executor_admission_queue_depth gauge
 # TYPE fc_executor_cache_hits_total counter
+# TYPE fc_executor_certified_total counter
 # TYPE fc_executor_component_queue_depth gauge
 # TYPE fc_executor_component_tasks_total counter
 # TYPE fc_executor_deadline_misses_total counter
@@ -356,7 +358,7 @@ TEST(TelemetryExportTest, EveryServiceCounterAgreesAcrossStatsAndPrometheus) {
   t.cache = {201, 202, 203, 204, 205, 206, 207, 208, 209, 210, 211};
   t.prepared = {301, 302, 303, 304, 305, 306, 307, 308};
   t.executor = {401, 402, 403, 404, 405, 406, 407, 408, 409, 410, 411,
-                412, 413, 414, 415, 416, 417, 418, 419, 420, 421};
+                412, 413, 414, 415, 416, 417, 418, 419, 420, 421, 422};
   t.storage = storage::StorageCounters{501, 502, 503, 504, 505,
                                        506, 507, 508, 509, 510};
 
@@ -403,26 +405,27 @@ TEST(TelemetryExportTest, EveryServiceCounterAgreesAcrossStatsAndPrometheus) {
       {"executor", "prepared_hits", "fc_executor_prepared_hits_total", 408},
       {"executor", "prepared_builds", "fc_executor_prepared_builds_total",
        409},
+      {"executor", "certified", "fc_executor_certified_total", 410},
       {"executor", "component_tasks", "fc_executor_component_tasks_total",
-       410},
-      {"executor", "deadline_misses", "fc_executor_deadline_misses_total",
        411},
-      {"executor", "expired_in_queue", "fc_executor_expired_in_queue_total",
+      {"executor", "deadline_misses", "fc_executor_deadline_misses_total",
        412},
+      {"executor", "expired_in_queue", "fc_executor_expired_in_queue_total",
+       413},
       {"executor", "stopped_node_limit",
-       "fc_executor_stopped_node_limit_total", 413},
+       "fc_executor_stopped_node_limit_total", 414},
       {"executor", "stopped_time_limit",
-       "fc_executor_stopped_time_limit_total", 414},
+       "fc_executor_stopped_time_limit_total", 415},
       {"executor", "stopped_deadline", "fc_executor_stopped_deadline_total",
-       415},
+       416},
       {"executor", "admission_queue_depth",
-       "fc_executor_admission_queue_depth", 416},
+       "fc_executor_admission_queue_depth", 417},
       {"executor", "component_queue_depth",
-       "fc_executor_component_queue_depth", 417},
-      {"executor", "queue_depth", "fc_executor_queue_depth", 418},
-      {"executor", "peak_queue_depth", "fc_executor_peak_queue_depth", 419},
-      {"executor", "num_workers", "fc_executor_workers", 420},
-      {"executor", "active_workers", "fc_executor_active_workers", 421},
+       "fc_executor_component_queue_depth", 418},
+      {"executor", "queue_depth", "fc_executor_queue_depth", 419},
+      {"executor", "peak_queue_depth", "fc_executor_peak_queue_depth", 420},
+      {"executor", "num_workers", "fc_executor_workers", 421},
+      {"executor", "active_workers", "fc_executor_active_workers", 422},
       {"storage", "snapshots_written", "fc_storage_snapshots_written_total",
        501},
       {"storage", "wal_records_appended", "fc_wal_records_appended_total",
@@ -479,12 +482,12 @@ TEST(TelemetryExportTest, EveryServiceCounterAgreesAcrossStatsAndPrometheus) {
   for (const auto& [object, count] : pinned_keys) {
     EXPECT_EQ(objects[object].size(), count) << "unpinned key in " << object;
   }
-  // Every service family carries a distinct field: 55 fields, 55 values.
+  // Every service family carries a distinct field: 56 fields, 56 values.
   std::set<int64_t> service_values;
   for (const auto& [name, value] : samples) {
     if (IsServiceFamily(name)) service_values.insert(value);
   }
-  EXPECT_EQ(service_values.size(), 55u);
+  EXPECT_EQ(service_values.size(), 56u);
   EXPECT_EQ(*service_values.begin(), 101);
   EXPECT_EQ(*service_values.rbegin(), 510);
 
